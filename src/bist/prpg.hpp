@@ -3,6 +3,12 @@
 //
 // PRPG = LFSR -> phase shifter -> optional space expander -> scan chains.
 // ODC  = scan chains -> optional space compactor -> MISR.
+//
+// Prpg emits its stream two ways: nextSlice() steps one shift cycle at a
+// time (what the cycle-accurate BistSession consumes), and nextLaneWord()
+// emits the same stream bit-sliced, 64 consecutive patterns per call
+// (what block fault simulation consumes). Both advance the same LFSR, so
+// they can be interleaved freely.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +43,48 @@ class Prpg {
   /// `chain_bits` (size == chains()), then advances the LFSR one cycle.
   void nextSlice(std::span<uint8_t> chain_bits);
 
+  /// Precomputed GF(2) index lists for nextLaneWord(): the rows of the
+  /// LFSR transition matrix, the phase-shifter taps, the expander taps,
+  /// and the one-pattern jump A^cycles_per_pattern. Build once per
+  /// (PRPG configuration, pattern length) and reuse for every block.
+  class SlicedPlan {
+   public:
+    /// Shift cycles per pattern this plan was built for.
+    [[nodiscard]] int cyclesPerPattern() const { return cycles_; }
+
+   private:
+    friend class Prpg;
+    int cycles_ = 0;
+    int length_ = 0;
+    int channels_ = 0;
+    int chains_ = 0;
+    Gf2Matrix jump_;
+    // CSR lists: entries [begin[i], begin[i+1]) of idx belong to row i.
+    // next: LFSR cell i's next value XORs the cells of row i of A.
+    std::vector<uint32_t> next_begin_;
+    std::vector<uint8_t> next_idx_;
+    // tap: phase-shifter channel c XORs its tap cells.
+    std::vector<uint32_t> tap_begin_;
+    std::vector<uint8_t> tap_idx_;
+    // exp: chain j XORs its expander channels (empty without expander).
+    std::vector<uint32_t> exp_begin_;
+    std::vector<uint32_t> exp_idx_;
+  };
+
+  /// Plan for patterns of `cycles_per_pattern` (>= 0) shift cycles.
+  [[nodiscard]] SlicedPlan slicedPlan(int cycles_per_pattern) const;
+
+  /// Bit-sliced nextSlice() over `patterns` (0..64) consecutive patterns
+  /// of plan.cyclesPerPattern() shift cycles each. Writes
+  /// out[k * chains() + c] (out.size() == cycles * chains()): bit l is
+  /// the chain-c bit nextSlice() would emit at shift cycle k of pattern
+  /// l, and lanes >= `patterns` are 0. Leaves the PRPG exactly
+  /// patterns * cycles further on, as that many nextSlice() calls would.
+  /// Throws std::invalid_argument when `plan` was built for another
+  /// configuration or the sizes disagree.
+  void nextLaneWord(const SlicedPlan& plan, int patterns,
+                    std::span<uint64_t> out);
+
   /// Chain bit for the current cycle without advancing (inspection).
   [[nodiscard]] uint8_t peekChainBit(int chain) const;
 
@@ -58,6 +106,7 @@ class Prpg {
   PhaseShifter shifter_;
   std::optional<SpaceExpander> expander_;
   std::vector<uint8_t> ps_out_;
+  std::vector<uint64_t> ps_words_;  // nextLaneWord channel lane words
   uint64_t cycles_ = 0;
 };
 
@@ -106,7 +155,8 @@ class InputSelector {
   enum class Mode : uint8_t { kRandom, kExternal };
 
   explicit InputSelector(int chains)
-      : external_(static_cast<size_t>(chains), 0) {}
+      : external_(static_cast<size_t>(chains), 0),
+        discard_(static_cast<size_t>(chains), 0) {}
 
   void setMode(Mode m) { mode_ = m; }
   [[nodiscard]] Mode mode() const { return mode_; }
@@ -121,6 +171,7 @@ class InputSelector {
  private:
   Mode mode_ = Mode::kRandom;
   std::vector<uint8_t> external_;
+  std::vector<uint8_t> discard_;  // PRPG output dropped in kExternal mode
 };
 
 }  // namespace lbist::bist

@@ -322,6 +322,67 @@ TEST(Prpg, ExpanderEngagesWhenChannelsReduced) {
   p.nextSlice(slice);  // must not throw
 }
 
+// nextLaneWord against the serial nextSlice stream: lane l of cycle k
+// must carry the bit nextSlice emits at cycle k of pattern l, lanes past
+// `patterns` stay 0, and both leave the PRPG at the same point, so the
+// two emitters interleave on one stream.
+TEST(Prpg, LaneWordMatchesSerialStream) {
+  for (const int ps_channels : {0, 5}) {
+    PrpgConfig cfg;
+    cfg.length = 19;
+    cfg.chains = 12;
+    cfg.ps_channels = ps_channels;
+    cfg.seed = 0x1D00D;
+    Prpg sliced(cfg);
+    Prpg serial(cfg);
+    const int cycles = 7;
+    const Prpg::SlicedPlan plan = sliced.slicedPlan(cycles);
+    EXPECT_EQ(plan.cyclesPerPattern(), cycles);
+    std::vector<uint64_t> words(static_cast<size_t>(cycles * cfg.chains));
+    std::vector<uint8_t> slice(static_cast<size_t>(cfg.chains));
+    for (const int patterns : {64, 1, 37, 0, 64}) {
+      sliced.nextLaneWord(plan, patterns, words);
+      std::vector<uint64_t> expected(words.size(), 0);
+      for (int l = 0; l < patterns; ++l) {
+        for (int k = 0; k < cycles; ++k) {
+          serial.nextSlice(slice);
+          for (int c = 0; c < cfg.chains; ++c) {
+            expected[static_cast<size_t>(k * cfg.chains + c)] |=
+                static_cast<uint64_t>(slice[static_cast<size_t>(c)]) << l;
+          }
+        }
+      }
+      EXPECT_EQ(words, expected)
+          << "ps_channels=" << ps_channels << " patterns=" << patterns;
+      EXPECT_EQ(sliced.cyclesElapsed(), serial.cyclesElapsed());
+      EXPECT_EQ(sliced.lfsr().state(), serial.lfsr().state());
+    }
+    sliced.nextSlice(slice);
+    std::vector<uint8_t> serial_slice(slice.size());
+    serial.nextSlice(serial_slice);
+    EXPECT_EQ(slice, serial_slice) << "serial emission continues the stream";
+  }
+}
+
+TEST(Prpg, LaneWordRejectsMismatchedPlanAndSizes) {
+  PrpgConfig cfg;
+  cfg.chains = 4;
+  Prpg p(cfg);
+  const Prpg::SlicedPlan plan = p.slicedPlan(3);
+  std::vector<uint64_t> words(12);
+  EXPECT_THROW(p.nextLaneWord(plan, 65, words), std::invalid_argument);
+  EXPECT_THROW(p.nextLaneWord(plan, -1, words), std::invalid_argument);
+  std::vector<uint64_t> short_words(11);
+  EXPECT_THROW(p.nextLaneWord(plan, 1, short_words), std::invalid_argument);
+  PrpgConfig wider = cfg;
+  wider.chains = 5;
+  Prpg other(wider);
+  std::vector<uint64_t> other_words(15);
+  EXPECT_THROW(other.nextLaneWord(plan, 1, other_words),
+               std::invalid_argument);
+  EXPECT_EQ(p.cyclesElapsed(), 0u) << "a rejected call must not advance";
+}
+
 TEST(Odc, RequiresMisrAtLeastChainsWithoutCompactor) {
   OdcConfig bad;
   bad.chains = 100;
