@@ -181,7 +181,7 @@ SweepRow runSweep(const std::string& name, const Netlist& nl,
     const auto t0 = std::chrono::steady_clock::now();
     for (int b = 0; b < blocks;) {
       const size_t n_blocks = std::min<size_t>(
-          opts.batch_blocks, static_cast<size_t>(blocks - b));
+          fault::kBatchBlocks, static_cast<size_t>(blocks - b));
       // Dropping is deferred to the batch's ordered reduction, so the
       // live count at dispatch is the decided set for every block in it.
       row.fault_pattern_decisions +=

@@ -52,8 +52,7 @@ RandomPhaseResult CoverageFlow::runRandomPhase(int64_t n_patterns) {
   RandomPhaseResult res;
   res.patterns = n_patterns;
   const int64_t block_lanes = static_cast<int64_t>(fsim_.lanes());
-  const int64_t batch =
-      std::max<int64_t>(1, fsim_.options().batch_blocks);
+  const auto batch = static_cast<int64_t>(fault::kBatchBlocks);
   for (int64_t base = 0; base < n_patterns;) {
     const int64_t blocks_left =
         (n_patterns - base + block_lanes - 1) / block_lanes;

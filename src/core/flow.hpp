@@ -32,16 +32,15 @@ class CoverageFlow {
   /// `transition` switches the fault universe to launch-on-capture
   /// transition faults (for the double-capture ablation); default is the
   /// stuck-at universe of Table 1. `fsim_opts` tunes the underlying
-  /// fault simulator — lane_words widens the pattern blocks, threads /
-  /// batch_blocks drive the batched dispatch; coverage and first-detect
-  /// patterns are invariant across all of them (n-detect drop points can
-  /// shift within a block when lane_words changes, per the fsim.hpp
-  /// contract).
+  /// fault simulator — lane_words widens the pattern blocks, threads
+  /// drive the batched dispatch; coverage and first-detect patterns are
+  /// invariant across all of them (n-detect drop points can shift within
+  /// a block when lane_words changes, per the fsim.hpp contract).
   explicit CoverageFlow(const BistReadyCore& core, bool transition = false,
                         const fault::FsimOptions& fsim_opts = {});
 
   /// Simulates `n_patterns` PRPG patterns (with fault dropping),
-  /// dispatching batch_blocks lane blocks per thread-pool round.
+  /// dispatching fault::kBatchBlocks lane blocks per simulateBatch* call.
   RandomPhaseResult runRandomPhase(int64_t n_patterns);
 
   /// Deterministic top-up targeting everything still undetected.

@@ -154,14 +154,15 @@ TpiResult selectObservePointsFaultSim(const Netlist& nl,
   std::mt19937_64 rng(cfg.seed);
 
   // --- warm-up: drop everything random patterns can catch -----------------
-  PhaseTimer* warmup_t = new PhaseTimer("warmup");
-  for (int64_t base = 0; base < cfg.warmup_patterns; base += 64) {
-    const int lanes =
-        static_cast<int>(std::min<int64_t>(64, cfg.warmup_patterns - base));
-    loadRandomSources(nl, fsim, rng);
-    fsim.simulateBlockStuckAt(base, lanes);
+  {
+    const PhaseTimer warmup_t("warmup");
+    for (int64_t base = 0; base < cfg.warmup_patterns; base += 64) {
+      const int lanes =
+          static_cast<int>(std::min<int64_t>(64, cfg.warmup_patterns - base));
+      loadRandomSources(nl, fsim, rng);
+      fsim.simulateBlockStuckAt(base, lanes);
+    }
   }
-  delete warmup_t;
   result.warmup_coverage = faults.coverage();
 
   std::vector<uint64_t> covered;  // dense bitset over current undetected set

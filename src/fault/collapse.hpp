@@ -61,14 +61,18 @@ struct NetUses {
   std::vector<uint32_t> slot;   // fanin slot at that gate
 };
 
+/// Scans `nl` once for every gate output's use count and (for single
+/// use) its consuming gate and slot.
 [[nodiscard]] NetUses buildNetUses(const Netlist& nl);
 
+/// Summary counts of one collapse analysis (core::renderCollapseStats).
 struct CollapseStats {
   size_t total = 0;    // faults in the (uncollapsed) list
   size_t classes = 0;  // equivalence classes = faults actually simulated
   size_t folded = 0;   // faults represented by another class member
   size_t dominance_prunable = 0;  // deferrable ATPG targets
 
+  /// Folded faults over all faults, in percent.
   [[nodiscard]] double foldedPercent() const {
     return total == 0
                ? 0.0
@@ -77,6 +81,8 @@ struct CollapseStats {
   }
 };
 
+/// Equivalence-class and dominance analysis of one fault list (built
+/// by buildCollapseMap).
 class CollapseMap {
  public:
   /// Index of fault i's equivalence-class representative (the
@@ -85,6 +91,8 @@ class CollapseMap {
   /// a singleton class is its own representative.
   [[nodiscard]] size_t representative(size_t i) const { return rep_[i]; }
 
+  /// Every fault's representative, in fault-index order (empty when
+  /// no analysis was built).
   [[nodiscard]] std::span<const uint32_t> representatives() const {
     return rep_;
   }
@@ -95,6 +103,7 @@ class CollapseMap {
     return prunable_[i] != 0;
   }
 
+  /// Summary counts of this analysis.
   [[nodiscard]] const CollapseStats& stats() const { return stats_; }
 
  private:

@@ -15,6 +15,8 @@
 
 namespace lbist::fault {
 
+/// Fault polarity: the two stuck-at values and the two transition
+/// (gross-delay) directions.
 enum class FaultType : uint8_t {
   kStuckAt0,
   kStuckAt1,
@@ -22,11 +24,14 @@ enum class FaultType : uint8_t {
   kSlowToFall,
 };
 
+/// Short report name of `t` ("sa0", "sa1", "str", "stf").
 [[nodiscard]] std::string_view faultTypeName(FaultType t);
 
 /// Pin index meaning "the gate's output stem".
 inline constexpr uint8_t kOutputPin = 0xff;
 
+/// One fault site and polarity: a gate's output stem or one of its
+/// fanin pins.
 struct Fault {
   GateId gate;
   uint8_t pin = kOutputPin;  // kOutputPin or fanin slot
@@ -36,6 +41,7 @@ struct Fault {
   /// print this instead of raw gate ids.
   [[nodiscard]] std::string describe(const Netlist& nl) const;
 
+  /// Same site, pin, and polarity.
   friend bool operator==(const Fault& a, const Fault& b) {
     return a.gate == b.gate && a.pin == b.pin && a.type == b.type;
   }
@@ -50,6 +56,8 @@ struct Fault {
 ///   BUF/NOT: both pin faults collapse onto the stem.
 [[nodiscard]] bool pinFaultCollapsesOntoStem(CellKind k, bool fault_is_low);
 
+/// Where a fault stands in the flow: still open, detected, or proved or
+/// accounted untestable.
 enum class FaultStatus : uint8_t {
   kUndetected,
   kDetected,        // seen at an observation point by simulation/ATPG
@@ -60,6 +68,7 @@ enum class FaultStatus : uint8_t {
                     // proof, not a structural shortcut
 };
 
+/// One fault-list entry: the fault plus its detection bookkeeping.
 struct FaultRecord {
   Fault fault;
   FaultStatus status = FaultStatus::kUndetected;
@@ -78,11 +87,13 @@ struct Coverage {
   size_t untestable = 0;
   size_t redundant = 0;
 
+  /// Detected (incl. chain-tested) over all faults, in percent.
   [[nodiscard]] double faultCoveragePercent() const {
     return total == 0 ? 0.0
                       : 100.0 * static_cast<double>(detected + chain_tested) /
                             static_cast<double>(total);
   }
+  /// Detected (incl. chain-tested) over testable faults, in percent.
   [[nodiscard]] double testCoveragePercent() const {
     const size_t den = total - untestable - redundant;
     return den == 0 ? 0.0
@@ -93,6 +104,7 @@ struct Coverage {
   friend bool operator==(const Coverage&, const Coverage&) = default;
 };
 
+/// Fault-universe enumeration knobs.
 struct FaultListOptions {
   bool collapse = true;          // structural equivalence collapsing
   bool include_pin_faults = true;
@@ -102,6 +114,8 @@ struct FaultListOptions {
   bool mark_chain_faults = true;
 };
 
+/// The fault universe of one netlist and every fault's status. Engines
+/// (fault simulation, ATPG) decide it in place.
 class FaultList {
  public:
   /// Enumerates (optionally collapsed) faults of `kind` for every
@@ -116,26 +130,33 @@ class FaultList {
   static FaultList enumerateTransition(const Netlist& nl,
                                        const FaultListOptions& opts = {});
 
+  /// Number of faults in the list.
   [[nodiscard]] size_t size() const { return records_.size(); }
+  /// Fault `i`'s record.
   [[nodiscard]] const FaultRecord& record(size_t i) const {
     return records_[i];
   }
+  /// Mutable fault `i`'s record (engines update status and counts).
   [[nodiscard]] FaultRecord& record(size_t i) { return records_[i]; }
+  /// Every record, in fault-index order.
   [[nodiscard]] std::span<const FaultRecord> records() const {
     return records_;
   }
 
+  /// Overwrites fault `i`'s status (untestable / redundant verdicts).
   void setStatus(size_t i, FaultStatus s) { records_[i].status = s; }
 
   /// Marks a detection of fault `i` by pattern `pattern_index`; promotes
   /// kUndetected to kDetected and counts repeats for N-detect stats.
   void recordDetection(size_t i, int64_t pattern_index);
 
+  /// Coverage summary over the whole list.
   [[nodiscard]] Coverage coverage() const;
 
   /// Indices of faults still undetected (excluding untestable/chain).
   [[nodiscard]] std::vector<size_t> undetectedIndices() const;
 
+  /// Fault::describe of fault `i`.
   [[nodiscard]] std::string describe(const Netlist& nl, size_t i) const;
 
  private:

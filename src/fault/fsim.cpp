@@ -22,9 +22,6 @@ void validateFsimOptions(const FsimOptions& opts) {
   if (opts.n_detect == 0) {
     throw std::invalid_argument("FsimOptions::n_detect must be >= 1");
   }
-  if (opts.batch_blocks == 0) {
-    throw std::invalid_argument("FsimOptions::batch_blocks must be >= 1");
-  }
 }
 
 std::vector<GateId> defaultObservationSet(const Netlist& nl) {
@@ -392,39 +389,44 @@ FaultSimulator::InjectResultW<W> FaultSimulator::injectTransitionW(
   return res;
 }
 
+template <size_t W, typename Fn>
+void FaultSimulator::forShards(unsigned n_threads, size_t n, Fn&& fn) {
+  if (n_threads <= 1) {
+    fn(0u, static_cast<ScratchW<W>&>(*scratch_[0]), size_t{0}, n);
+    return;
+  }
+  pool_->run(n_threads, [&](unsigned shard) {
+    fn(shard, static_cast<ScratchW<W>&>(*scratch_[shard]),
+       n * shard / n_threads, n * (shard + 1) / n_threads);
+  });
+}
+
 template <size_t W>
-void FaultSimulator::computeObservabilityW(const LaneWord<W>& lane_mask,
+void FaultSimulator::computeObservabilityW(const Frame& fr,
+                                           const LaneWord<W>& lane_mask,
                                            unsigned n_threads) {
   OBS_SPAN("fsim.cpt_observability");
   OBS_COUNT("fsim.stem_propagations", stems_.size());
   constexpr uint32_t kStemMark = 0xffffffffu;
-  const uint64_t* const good = good_.rawValues().data();
+  const uint64_t* const good = fr.good;
   const sim::CompiledNetlist& cn = *compiled_;
 
   // Phase A — one full-lane diff propagation per stem. Lane independence
   // of word-parallel evaluation makes the result exact: lane l of the
   // detect block is precisely "a flip of this stem in lane l reaches the
   // observation set".
-  const size_t n_stems = stems_.size();
-  auto stem_range = [&](ScratchW<W>& sc, size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const uint32_t s = stems_[i];
-      const SeedW<W> seed{GateId{s}, lane_mask};
-      propagateSeedsW<W>(sc, {&seed, 1}, good, is_observed_,
-                         /*forced=*/nullptr, /*record_touched=*/false,
-                         /*early_exit_mask=*/lane_mask)
-          .store(obs_out_.data() + size_t{s} * W);
-    }
-  };
-  if (n_threads <= 1) {
-    stem_range(static_cast<ScratchW<W>&>(*scratch_[0]), 0, n_stems);
-  } else {
-    pool_->run(n_threads, [&](unsigned shard) {
-      const size_t lo = n_stems * shard / n_threads;
-      const size_t hi = n_stems * (shard + 1) / n_threads;
-      stem_range(static_cast<ScratchW<W>&>(*scratch_[shard]), lo, hi);
-    });
-  }
+  forShards<W>(n_threads, stems_.size(),
+               [&](unsigned, ScratchW<W>& sc, size_t lo, size_t hi) {
+                 for (size_t i = lo; i < hi; ++i) {
+                   const uint32_t s = stems_[i];
+                   const SeedW<W> seed{GateId{s}, lane_mask};
+                   propagateSeedsW<W>(sc, {&seed, 1}, good, is_observed_,
+                                      /*forced=*/nullptr,
+                                      /*record_touched=*/false,
+                                      /*early_exit_mask=*/lane_mask)
+                       .store(obs_out_.data() + size_t{s} * W);
+                 }
+               });
 
   // Phase B — reverse sensitization pass over the fanout-free chains:
   // every non-stem output folds its single consuming gate's pass mask
@@ -447,239 +449,83 @@ void FaultSimulator::computeObservabilityW(const LaneWord<W>& lane_mask,
 }
 
 template <size_t W>
-size_t FaultSimulator::simulateActiveFaultsW(int64_t pattern_base,
-                                             int n_patterns,
-                                             bool transition) {
-  const LaneWord<W> lane_mask =
-      LaneWord<W>::firstLanes(static_cast<size_t>(n_patterns));
-  if (active_.empty()) return 0;
-
-  // With folding, only one member per equivalence class is propagated;
-  // the merge phase shares its mask with every live member.
-  prepareComputeSet();
-  const size_t n_compute = compute_faults_.size();
-  const unsigned n_threads = resolveThreads(n_compute);
-  ensureWorkersW<W>(n_threads);
-
-  const bool capture_reach = reach_observer_ != nullptr;
-  // With one worker the compute loop already visits faults in merge order,
-  // so observer callbacks stream straight from the scratch instead of
-  // buffering every fault's reach cone for the merge phase. (Reach
-  // observers disable folding, so compute position == active position.)
-  const bool inline_observer = capture_reach && n_threads <= 1;
-  const bool buffer_reach = capture_reach && !inline_observer;
-  block_detect_.assign(n_compute * W, 0);
-  block_had_diff_.assign(n_compute, 0);
-  if (buffer_reach) block_touched_.resize(n_compute);
-
-  // Engine choice: per-fault cones while the live list is thin, stem
-  // observability + assembly while it is dense. Both are exact, so the
-  // choice is invisible in the results.
-  bool use_cpt;
-  switch (opts_.engine) {
-    case BlockEngine::kPerFault:
-      use_cpt = false;
-      break;
-    case BlockEngine::kStemCpt:
-      use_cpt = true;
-      break;
-    case BlockEngine::kAuto:
-    default:
-      use_cpt = n_compute > 2 * stems_.size();
-      break;
+void FaultSimulator::simulateFaultsW(unsigned n_threads, bool use_cpt,
+                                     bool batch) {
+  const size_t n_frames = frames_.size();
+  std::vector<LaneWord<W>> masks(n_frames);
+  for (size_t b = 0; b < n_frames; ++b) {
+    masks[b] = LaneWord<W>::firstLanes(static_cast<size_t>(frames_[b].lanes));
   }
-  if (capture_reach) use_cpt = false;
+  if (use_cpt) computeObservabilityW<W>(frames_[0], masks[0], n_threads);
+  const bool reach = reach_observer_ != nullptr;
 
-  OBS_SPAN("fsim.block");
-  OBS_COUNT("fsim.blocks", 1);
-  OBS_COUNT("fsim.live_faults", active_.size());
-  OBS_COUNT("fsim.live_classes", n_compute);
-  // Common per-block path for both engines and the batch-sequential
-  // fallback: an injected failure here models a simulator crash inside
-  // any fault-sim consumer (coverage flows, top-up, diagnosis). Placed
-  // before the compute phase so no partial block ever mutates fault
-  // statuses — the exception leaves the list exactly as it was.
-  if (ROBUST_POINT("fsim.block.simulate", "", robust::kCanThrow) ==
-      robust::FaultAction::kThrow) {
-    throw std::runtime_error("injected fault-simulator failure (block at "
-                             "pattern base " +
-                             std::to_string(pattern_base) + ")");
-  }
-  if (use_cpt) {
-    OBS_COUNT("fsim.blocks_stem_cpt", 1);
-  } else {
-    OBS_COUNT("fsim.blocks_per_fault", 1);
-  }
-
-  const uint64_t* const good_vals = good_.rawValues().data();
-  const uint64_t* const launch_vals = launch_values_.data();
-  if (use_cpt) {
-    computeObservabilityW<W>(lane_mask, n_threads);
-    // Phase C — per-fault mask assembly from the observability rows:
-    // inject_diff & obs_of_out(site), plus the direct capture-pin term.
-    auto assemble_range = [&](size_t lo, size_t hi) {
-      for (size_t ci = lo; ci < hi; ++ci) {
-        const Fault& f = faults_->record(compute_faults_[ci]).fault;
-        const InjectResultW<W> inj =
-            transition
-                ? injectTransitionW<W>(f, lane_mask, good_vals, launch_vals)
-                : injectStuckAtW<W>(f, lane_mask, good_vals);
-        LaneWord<W> detect = inj.direct_detect ? inj.direct_mask
-                                               : LaneWord<W>{};
-        detect |= inj.diff &
-                  LaneWord<W>::load(obs_out_.data() + size_t{f.gate.v} * W);
-        detect.store(block_detect_.data() + ci * W);
-      }
-    };
-    if (n_threads <= 1) {
-      assemble_range(0, n_compute);
-    } else {
-      pool_->run(n_threads, [&](unsigned shard) {
-        assemble_range(n_compute * shard / n_threads,
-                       n_compute * (shard + 1) / n_threads);
-      });
-    }
-    return mergeBlock(pattern_base, /*buffer_reach=*/false);
-  }
-
-  // Phase 1 — compute: workers read the shared good machine and fault
-  // records, write only their own scratch and their slice of the
-  // position-indexed result buffers. No shared mutable state, no atomics.
-  auto compute_range = [&](ScratchW<W>& sc, size_t lo, size_t hi) {
+  // Workers read the shared frames and fault records and write only
+  // their own scratch and hit queues: no shared mutable state, no
+  // atomics. Frames run inner, so a fault's cone stays hot in cache.
+  auto compute_range = [&](unsigned shard, ScratchW<W>& sc, size_t lo,
+                           size_t hi) {
+    uint64_t hit_rows = 0;
+    uint64_t deferred_blocks = 0;
     for (size_t ci = lo; ci < hi; ++ci) {
       const Fault& f = faults_->record(compute_faults_[ci]).fault;
-      const InjectResultW<W> inj =
-          transition
-              ? injectTransitionW<W>(f, lane_mask, good_vals, launch_vals)
-              : injectStuckAtW<W>(f, lane_mask, good_vals);
-      LaneWord<W> detect = inj.direct_detect ? inj.direct_mask
-                                             : LaneWord<W>{};
-      if (inj.diff.any()) {
-        const SeedW<W> seed{f.gate, inj.diff};
-        // Every downstream diff stays within the seed's activated lanes,
-        // so the wheel may stop once all of them detect. Reach observers
-        // need the complete cone; they disable the shortcut.
-        detect |= propagateSeedsW<W>(
-            sc, {&seed, 1}, good_vals, is_observed_,
-            /*forced=*/nullptr, /*record_touched=*/capture_reach,
-            capture_reach ? LaneWord<W>{} : inj.diff);
-        block_had_diff_[ci] = 1;
-        if (inline_observer) {
-          reach_observer_->onFaultEffects(compute_faults_[ci], sc.touched);
-        } else if (buffer_reach) {
-          block_touched_[ci].assign(sc.touched.begin(), sc.touched.end());
+      const uint32_t need = slot_need_[ci];
+      uint32_t got = 0;
+      for (size_t b = 0; b < n_frames; ++b) {
+        const Frame& fr = frames_[b];
+        const InjectResultW<W> inj =
+            fr.launch != nullptr
+                ? injectTransitionW<W>(f, masks[b], fr.good, fr.launch)
+                : injectStuckAtW<W>(f, masks[b], fr.good);
+        LaneWord<W> detect = inj.direct_detect ? inj.direct_mask
+                                               : LaneWord<W>{};
+        if (use_cpt) {
+          // Stem-CPT assembly: inject_diff & obs_of_out(site).
+          detect |= inj.diff & LaneWord<W>::load(obs_out_.data() +
+                                                 size_t{f.gate.v} * W);
+        } else if (inj.diff.any()) {
+          const SeedW<W> seed{f.gate, inj.diff};
+          // Every downstream diff stays within the seed's activated lanes,
+          // so the wheel may stop once all of them detect. Reach observers
+          // need the complete cone; they disable the shortcut.
+          detect |= propagateSeedsW<W>(sc, {&seed, 1}, fr.good, is_observed_,
+                                       /*forced=*/nullptr,
+                                       /*record_touched=*/reach,
+                                       reach ? LaneWord<W>{} : inj.diff);
+          if (reach) {
+            reach_observer_->onFaultEffects(compute_faults_[ci], sc.touched);
+          }
+        }
+        if (!detect.any()) continue;
+        ++hit_rows;
+        hits_[shard][b].push(static_cast<uint32_t>(ci), detect);
+        if (need != 0) {
+          got += static_cast<uint32_t>(detect.popcount());
+          // The sequential loop drops this class before the next block;
+          // its remaining masks would be discarded unseen.
+          if (got >= need) {
+            deferred_blocks += n_frames - 1 - b;
+            break;
+          }
         }
       }
-      detect.store(block_detect_.data() + ci * W);
+    }
+    if (batch) {
+      OBS_COUNT("fsim.batch_hit_rows", hit_rows);
+      OBS_COUNT("fsim.batch_deferred_blocks", deferred_blocks);
     }
   };
-  if (n_threads <= 1) {
-    compute_range(static_cast<ScratchW<W>&>(*scratch_[0]), 0, n_compute);
-  } else {
-    pool_->run(n_threads, [&](unsigned shard) {
-      const size_t lo = n_compute * shard / n_threads;
-      const size_t hi = n_compute * (shard + 1) / n_threads;
-      compute_range(static_cast<ScratchW<W>&>(*scratch_[shard]), lo, hi);
-    });
-  }
-
-  return mergeBlock(pattern_base, buffer_reach);
-}
-
-size_t FaultSimulator::mergeBlock(int64_t pattern_base, bool buffer_reach) {
-  // Phase 2 — merge, serially and in fault-list order: detection
-  // bookkeeping, observer callbacks, and n-detect dropping are
-  // therefore identical for every thread count and shard layout — and,
-  // because class members corrupt the circuit identically, for folding
-  // on or off (merge_slot_ hands every member its class's mask). Width-
-  // agnostic: rows of block_detect_ are lane_words_ words wide.
-  const size_t w = lane_words_;
-  const size_t n_active = active_.size();
-  size_t newly_detected = 0;
-  size_t out = 0;
-  for (size_t ai = 0; ai < n_active; ++ai) {
-    const size_t fi = active_[ai];
-    if (buffer_reach && block_had_diff_[merge_slot_[ai]] != 0) {
-      reach_observer_->onFaultEffects(fi, block_touched_[merge_slot_[ai]]);
-    }
-    const sim::LaneMask detect(
-        block_detect_.data() + size_t{merge_slot_[ai]} * w, w);
-    const bool hit = detect.any();
-    if (hit && detection_observer_ != nullptr) {
-      detection_observer_->onDetectionMask(fi, pattern_base, detect);
-    }
-    if (hit) {
-      FaultRecord& rec = faults_->record(fi);
-      const bool was_undetected = rec.status == FaultStatus::kUndetected;
-      if (was_undetected) {
-        faults_->recordDetection(fi, pattern_base + detect.firstLane());
-        ++newly_detected;
-        rec.detect_count += static_cast<uint32_t>(detect.popcount()) - 1;
-      } else {
-        rec.detect_count += static_cast<uint32_t>(detect.popcount());
-      }
-      if (opts_.drop_detected && rec.detect_count >= opts_.n_detect) {
-        continue;  // dropped: stable-compact the survivors
-      }
-    }
-    active_[out++] = fi;
-  }
-  OBS_COUNT("fsim.detections", newly_detected);
-  OBS_COUNT("fsim.faults_dropped", n_active - out);
-  active_.resize(out);
-  // Rate-curve anchor: one sample per merged block, work-indexed by the
-  // pattern count reached. The merge is the quiescent point — workers
-  // have joined — so this is where counter deltas are well-defined.
-  OBS_SAMPLE("fsim.block", pattern_base + static_cast<int64_t>(w * 64));
-  return newly_detected;
+  forShards<W>(n_threads, compute_faults_.size(), compute_range);
 }
 
 template <size_t W>
-size_t FaultSimulator::simulateStagedW(
-    int64_t pattern_base, int n_patterns,
-    std::span<const std::vector<GateId>> stages) {
-  const LaneWord<W> lane_mask =
-      LaneWord<W>::firstLanes(static_cast<size_t>(n_patterns));
-  const size_t n_active = active_.size();
+void FaultSimulator::simulateStagedW(
+    unsigned n_threads, std::span<const std::vector<GateId>> stages) {
   const size_t n_stages = stages.size();
-  if (n_active == 0 || n_stages == 0) return 0;
-  OBS_SPAN("fsim.staged_block");
-  OBS_COUNT("fsim.staged_blocks", 1);
+  const LaneWord<W> lane_mask =
+      LaneWord<W>::firstLanes(static_cast<size_t>(frames_[0].lanes));
 
-  // Good-machine capture frames: frame 0 is the loaded state; frame j+1
-  // has stages[0..j] updated to their captured values.
-  good_.eval();
-  frame_vals_.resize(n_stages);
-  frame_vals_[0].assign(good_.rawValues().begin(), good_.rawValues().end());
-  for (size_t j = 0; j + 1 < n_stages; ++j) {
-    for (GateId ff : stages[j]) {
-      good_.setSourceRow(
-          ff, frame_vals_[j].data() + size_t{nl_->gate(ff).fanins[0].v} * W);
-    }
-    good_.eval();
-    frame_vals_[j + 1].assign(good_.rawValues().begin(),
-                              good_.rawValues().end());
-  }
-
-  // Per-stage observation flags: detection counts at a stage DFF's D
-  // driver at that stage's own pulse (and only if globally observed).
-  stage_observed_.resize(n_stages);
-  for (size_t j = 0; j < n_stages; ++j) {
-    stage_observed_[j].assign(nl_->numGates(), 0);
-    for (GateId ff : stages[j]) {
-      const GateId driver = nl_->gate(ff).fanins[0];
-      if (is_observed_[driver.v] != 0) stage_observed_[j][driver.v] = 1;
-    }
-  }
-  assert(reach_observer_ == nullptr &&
-         "reach observer is not supported in staged mode");
-  prepareComputeSet();
-  const size_t n_compute = compute_faults_.size();
-  const unsigned n_threads = resolveThreads(n_compute);
-  ensureWorkersW<W>(n_threads);
-  block_detect_.assign(n_compute * W, 0);
-
-  auto compute_range = [&](ScratchW<W>& sc, size_t lo, size_t hi) {
+  auto compute_range = [&](unsigned shard, ScratchW<W>& sc, size_t lo,
+                           size_t hi) {
     std::vector<SeedW<W>> seeds;
     std::vector<SeedW<W>> held;  // corrupted captures, held to window end
     for (size_t ci = lo; ci < hi; ++ci) {
@@ -693,7 +539,7 @@ size_t FaultSimulator::simulateStagedW(
       LaneWord<W> detect;
 
       for (size_t j = 0; j < n_stages; ++j) {
-        const uint64_t* const frame = frame_vals_[j].data();
+        const uint64_t* const frame = frames_[j].good;
         seeds.assign(held.begin(), held.end());
         if (!dff_pin) {
           // The stuck line is active in every frame; re-inject against
@@ -741,26 +587,313 @@ size_t FaultSimulator::simulateStagedW(
           }
         }
       }
-      detect.store(block_detect_.data() + ci * W);
+      if (detect.any()) hits_[shard][0].push(static_cast<uint32_t>(ci), detect);
     }
   };
-  if (n_threads <= 1) {
-    compute_range(static_cast<ScratchW<W>&>(*scratch_[0]), 0, n_compute);
-  } else {
-    pool_->run(n_threads, [&](unsigned shard) {
-      const size_t lo = n_compute * shard / n_threads;
-      const size_t hi = n_compute * (shard + 1) / n_threads;
-      compute_range(static_cast<ScratchW<W>&>(*scratch_[shard]), lo, hi);
-    });
-  }
-
-  return mergeBlock(pattern_base, /*buffer_reach=*/false);
+  forShards<W>(n_threads, compute_faults_.size(), compute_range);
 }
 
-template <size_t W>
-size_t FaultSimulator::simulateBatchW(int64_t pattern_base, size_t n_blocks,
-                                      const BlockLoader& load,
-                                      bool transition) {
+size_t FaultSimulator::simulateFrames(
+    int64_t pattern_base, Pass pass,
+    std::span<const std::vector<GateId>> stages) {
+  const size_t n_blocks = pass == Pass::kStaged ? 1 : frames_.size();
+  // With folding, only one member per equivalence class is propagated;
+  // the reduction shares its mask with every live member.
+  prepareComputeSet();
+  const size_t n_compute = compute_faults_.size();
+  // Reach observers run on one worker: the compute loop then visits the
+  // faults in reduction order (reach disables folding, so compute slot ==
+  // active position) and streams every cone straight from the scratch.
+  const unsigned n_threads = reach_observer_ != nullptr
+                                 ? 1u
+                                 : resolveThreads(n_compute * n_blocks);
+
+  // Engine choice for a single block: per-fault cones while the live
+  // list is thin, stem observability + assembly while it is dense. Both
+  // are exact, so the choice is invisible in the results. Batches and
+  // staged capture always run per fault (simulateBatch routes dense and
+  // stem-CPT batches to the per-block loop).
+  bool use_cpt = false;
+  if (pass == Pass::kBlock && reach_observer_ == nullptr) {
+    use_cpt = opts_.engine == BlockEngine::kStemCpt ||
+              (opts_.engine == BlockEngine::kAuto &&
+               n_compute > 2 * stems_.size());
+  }
+
+  if (pass == Pass::kBlock) {
+    OBS_COUNT("fsim.blocks", 1);
+    OBS_COUNT("fsim.live_faults", active_.size());
+    OBS_COUNT("fsim.live_classes", n_compute);
+  } else if (pass == Pass::kBatch) {
+    OBS_COUNT("fsim.batch_dispatches", 1);
+    OBS_COUNT("fsim.batch_blocks", n_blocks);
+  } else {
+    OBS_COUNT("fsim.staged_blocks", 1);
+  }
+  // One site per dispatch, shared by every engine: an injected failure
+  // here models a simulator crash inside any fault-sim consumer
+  // (coverage flows, top-up, TPI, diagnosis). It sits before the compute
+  // phase, so no partial dispatch ever mutates fault statuses — the
+  // exception leaves the list exactly as it was.
+  if (ROBUST_POINT("fsim.block.simulate", "", robust::kCanThrow) ==
+      robust::FaultAction::kThrow) {
+    throw std::runtime_error("injected fault-simulator failure (block at "
+                             "pattern base " +
+                             std::to_string(pattern_base) + ")");
+  }
+  if (pass == Pass::kBlock) {
+    if (use_cpt) {
+      OBS_COUNT("fsim.blocks_stem_cpt", 1);
+    } else {
+      OBS_COUNT("fsim.blocks_per_fault", 1);
+    }
+  }
+
+  // A single block queues at most one row per compute slot of a shard.
+  // Reserving that here, on the calling thread, keeps dense stem-CPT
+  // blocks from growing the queues inside the workers' malloc arenas,
+  // where every outgrown buffer would stay resident. Batch queues stay
+  // sparse (dense batches run block by block), so they grow on demand.
+  if (hits_.size() < n_threads) hits_.resize(n_threads);
+  for (unsigned t = 0; t < n_threads; ++t) {
+    if (hits_[t].size() < n_blocks) hits_[t].resize(n_blocks);
+    for (size_t b = 0; b < n_blocks; ++b) {
+      hits_[t][b].slots.clear();
+      hits_[t][b].rows.clear();
+    }
+    if (n_blocks == 1) {
+      const size_t shard =
+          n_compute * (t + 1) / n_threads - n_compute * t / n_threads;
+      hits_[t][0].slots.reserve(shard);
+      hits_[t][0].rows.reserve(shard * lane_words_);
+    }
+  }
+
+  // With dropping on, a fault detected enough times by block b leaves
+  // the active set before block b+1 in the sequential schedule, so its
+  // later-block masks are never observed. Precompute, per compute slot,
+  // how many more lane detections retire every active member of the
+  // slot's class; the kernel stops walking blocks for a slot once its
+  // accumulated mask popcounts reach that need. reduceHits applies the
+  // same arithmetic serially, so the skipped work is exactly the work
+  // the per-block loop would also have skipped — results are unchanged.
+  // A single block has no later block to skip.
+  slot_need_.assign(n_compute, 0);
+  if (opts_.drop_detected && n_blocks > 1) {
+    for (size_t ai = 0; ai < active_.size(); ++ai) {
+      const FaultRecord& rec = faults_->record(active_[ai]);
+      const uint32_t need = opts_.n_detect > rec.detect_count
+                                ? opts_.n_detect - rec.detect_count
+                                : 1;
+      uint32_t& slot_need = slot_need_[merge_slot_[ai]];
+      slot_need = std::max(slot_need, need);
+    }
+  }
+
+  const auto compute = [&]<size_t W>() {
+    ensureWorkersW<W>(n_threads);
+    if (pass == Pass::kStaged) {
+      simulateStagedW<W>(n_threads, stages);
+    } else {
+      simulateFaultsW<W>(n_threads, use_cpt, pass == Pass::kBatch);
+    }
+  };
+  switch (lane_words_) {
+    case 1:
+      compute.template operator()<1>();
+      break;
+    case 4:
+      compute.template operator()<4>();
+      break;
+    case 8:
+      compute.template operator()<8>();
+      break;
+    default:
+      assert(false && "unsupported lane width");
+      return 0;
+  }
+  return reduceHits(pattern_base, n_blocks, n_threads);
+}
+
+size_t FaultSimulator::reduceHits(int64_t pattern_base, size_t n_blocks,
+                                  unsigned n_threads) {
+  // One serial pass per block, in block order and fault-list order
+  // within a block, so the bookkeeping and observer stream are
+  // bit-identical for every thread count, shard layout, and batch size —
+  // and, because class members corrupt the circuit identically, for
+  // folding on or off (merge_slot_ hands every member its class's mask).
+  // A fault dropped by an earlier block's pass is skipped in later
+  // blocks' passes, exactly as it would have left the active set between
+  // sequential blocks. The epoch-stamped slot table points each hit slot
+  // at its queued row, so a block costs O(hits) to index, not O(slots).
+  const size_t w = lane_words_;
+  const size_t n_compute = compute_faults_.size();
+  const size_t n_active = active_.size();
+  slot_row_.resize(n_compute);
+  if (slot_stamp_.size() < n_compute) slot_stamp_.resize(n_compute, 0);
+  dropped_.assign(n_active, 0);
+  size_t newly_detected = 0;
+  size_t dropped = 0;
+
+  for (size_t b = 0; b < n_blocks; ++b) {
+    if (++epoch_ == 0) {
+      // Stamp wraparound: invalidate every stale stamp once per 2^32
+      // blocks rather than carrying wider stamps on the hot path.
+      std::fill(slot_stamp_.begin(), slot_stamp_.end(), 0u);
+      epoch_ = 1;
+    }
+    for (unsigned t = 0; t < n_threads; ++t) {
+      const HitQueue& q = hits_[t][b];
+      for (size_t i = 0; i < q.slots.size(); ++i) {
+        slot_row_[q.slots[i]] = q.rows.data() + i * w;
+        slot_stamp_[q.slots[i]] = epoch_;
+      }
+    }
+
+    const int64_t base =
+        pattern_base + static_cast<int64_t>(b) * static_cast<int64_t>(w * 64);
+    for (size_t ai = 0; ai < n_active; ++ai) {
+      if (dropped_[ai] != 0) continue;
+      const uint32_t slot = merge_slot_[ai];
+      if (slot_stamp_[slot] != epoch_) continue;  // no detection
+      const size_t fi = active_[ai];
+      const sim::LaneMask detect(slot_row_[slot], w);
+      if (detection_observer_ != nullptr) {
+        detection_observer_->onDetectionMask(fi, base, detect);
+      }
+      FaultRecord& rec = faults_->record(fi);
+      if (rec.status == FaultStatus::kUndetected) {
+        faults_->recordDetection(fi, base + detect.firstLane());
+        ++newly_detected;
+        rec.detect_count += static_cast<uint32_t>(detect.popcount()) - 1;
+      } else {
+        rec.detect_count += static_cast<uint32_t>(detect.popcount());
+      }
+      if (opts_.drop_detected && rec.detect_count >= opts_.n_detect) {
+        dropped_[ai] = 1;
+        ++dropped;
+      }
+    }
+  }
+
+  if (dropped > 0) {
+    size_t out = 0;
+    for (size_t ai = 0; ai < n_active; ++ai) {
+      if (dropped_[ai] == 0) active_[out++] = active_[ai];
+    }
+    active_.resize(out);
+  }
+  OBS_COUNT("fsim.detections", newly_detected);
+  OBS_COUNT("fsim.faults_dropped", dropped);
+  // Rate-curve anchor: one sample per reduction, work-indexed by the
+  // pattern count reached. The reduction is the quiescent point —
+  // workers have joined — so this is where counter deltas are
+  // well-defined.
+  OBS_SAMPLE("fsim.block",
+             pattern_base + static_cast<int64_t>(n_blocks * w * 64));
+  return newly_detected;
+}
+
+void FaultSimulator::checkBlockLanes(int n_patterns) const {
+  if (n_patterns > static_cast<int>(lanes())) {
+    throw std::invalid_argument(
+        "fault-simulator block of " + std::to_string(n_patterns) +
+        " patterns exceeds lanes() = " + std::to_string(lanes()));
+  }
+}
+
+FaultSimulator::Frame FaultSimulator::loadFrame(bool transition,
+                                                size_t slot, int lanes,
+                                                bool snapshot) {
+  good_.eval();
+  const auto raw = good_.rawValues();
+  Frame fr{raw.data(), nullptr, lanes};
+  if (transition) {
+    if (launch_frames_.size() <= slot) launch_frames_.resize(slot + 1);
+    std::vector<uint64_t>& launch = launch_frames_[slot];
+    launch.assign(raw.begin(), raw.end());
+    for (GateId dff : nl_->dffs()) {
+      good_.setSourceRow(
+          dff, launch.data() + size_t{nl_->gate(dff).fanins[0].v} *
+                                   lane_words_);
+    }
+    good_.eval();
+    fr.launch = launch.data();
+  }
+  if (snapshot) {
+    if (good_frames_.size() <= slot) good_frames_.resize(slot + 1);
+    good_frames_[slot].assign(raw.begin(), raw.end());
+    fr.good = good_frames_[slot].data();
+  }
+  return fr;
+}
+
+size_t FaultSimulator::simulateBlock(int64_t pattern_base, int n_patterns,
+                                     bool transition) {
+  if (n_patterns < 0) n_patterns = static_cast<int>(lanes());
+  checkBlockLanes(n_patterns);
+  frames_.assign(1, loadFrame(transition, 0, n_patterns, /*snapshot=*/false));
+  if (active_.empty()) return 0;
+  OBS_SPAN("fsim.block");
+  return simulateFrames(pattern_base, Pass::kBlock, {});
+}
+
+size_t FaultSimulator::simulateBlockStuckAt(int64_t pattern_base,
+                                            int n_patterns) {
+  return simulateBlock(pattern_base, n_patterns, /*transition=*/false);
+}
+
+size_t FaultSimulator::simulateBlockTransition(int64_t pattern_base,
+                                               int n_patterns) {
+  return simulateBlock(pattern_base, n_patterns, /*transition=*/true);
+}
+
+size_t FaultSimulator::simulateBlockStuckAtStaged(
+    int64_t pattern_base, int n_patterns,
+    std::span<const std::vector<GateId>> stages) {
+  if (reach_observer_ != nullptr) {
+    throw std::logic_error(
+        "simulateBlockStuckAtStaged: reach observers are not supported in "
+        "staged capture");
+  }
+  if (n_patterns < 0) n_patterns = static_cast<int>(lanes());
+  checkBlockLanes(n_patterns);
+  const size_t n_stages = stages.size();
+  if (active_.empty() || n_stages == 0) return 0;
+  OBS_SPAN("fsim.staged_block");
+
+  // Good-machine capture frames: frame 0 is the loaded state; frame j+1
+  // has stages[0..j] updated to their captured values. The last frame is
+  // read in place.
+  frames_.clear();
+  for (size_t j = 0; j < n_stages; ++j) {
+    if (j > 0) {
+      for (GateId ff : stages[j - 1]) {
+        good_.setSourceRow(ff, frames_[j - 1].good +
+                                   size_t{nl_->gate(ff).fanins[0].v} *
+                                       lane_words_);
+      }
+    }
+    frames_.push_back(loadFrame(/*transition=*/false, j, n_patterns,
+                                /*snapshot=*/j + 1 < n_stages));
+  }
+
+  // Per-stage observation flags: detection counts at a stage DFF's D
+  // driver at that stage's own pulse (and only if globally observed).
+  stage_observed_.resize(n_stages);
+  for (size_t j = 0; j < n_stages; ++j) {
+    stage_observed_[j].assign(nl_->numGates(), 0);
+    for (GateId ff : stages[j]) {
+      const GateId driver = nl_->gate(ff).fanins[0];
+      if (is_observed_[driver.v] != 0) stage_observed_[j][driver.v] = 1;
+    }
+  }
+  return simulateFrames(pattern_base, Pass::kStaged, stages);
+}
+
+size_t FaultSimulator::simulateBatch(int64_t pattern_base, size_t n_blocks,
+                                     const BlockLoader& load,
+                                     bool transition) {
   // Fallbacks that keep the loader stream advancing: reach observers
   // need per-block cones, and the stem-CPT engine keeps its per-block
   // observability passes (they depend on each block's good frame, so a
@@ -781,333 +914,51 @@ size_t FaultSimulator::simulateBatchW(int64_t pattern_base, size_t n_blocks,
     prepareComputeSet();
     dense_auto = compute_faults_.size() > 2 * stems_.size();
   }
-  if (reach_observer_ != nullptr || opts_.engine == BlockEngine::kStemCpt ||
-      dense_auto || requested_threads <= 1 || n_blocks <= 1) {
+  const bool per_block = reach_observer_ != nullptr ||
+                         opts_.engine == BlockEngine::kStemCpt ||
+                         dense_auto || requested_threads <= 1 ||
+                         n_blocks <= 1;
+  if (per_block) {
     OBS_COUNT("fsim.batch_sequential_fallbacks", 1);
-    size_t newly = 0;
-    for (size_t b = 0; b < n_blocks; ++b) {
-      const int lanes_b = load(b, good_);
-      if (lanes_b <= 0) break;
-      const int64_t base =
-          pattern_base + static_cast<int64_t>(b) * static_cast<int64_t>(W * 64);
-      newly += transition ? simulateBlockTransition(base, lanes_b)
-                          : simulateBlockStuckAt(base, lanes_b);
-    }
-    return newly;
   }
 
-  // Snapshot every block's good-machine frame (and launch frame for
-  // transition) up front; the loaders run even when no fault is live so
-  // stateful pattern sources stay in step with the pattern numbering.
-  batch_frames_.resize(n_blocks);
-  if (transition) batch_launch_.resize(n_blocks);
-  batch_block_lanes_.assign(n_blocks, 0);
-  size_t used_blocks = 0;
+  // The loaders run even when no fault is live, so stateful pattern
+  // sources stay in step with the pattern numbering. Snapshot storage
+  // holds this batch's blocks only: a shorter final batch releases the
+  // rest before the caller moves on.
+  frames_.clear();
+  if (!per_block) {
+    good_frames_.resize(n_blocks);
+    if (transition) launch_frames_.resize(n_blocks);
+  }
+  size_t newly = 0;
   for (size_t b = 0; b < n_blocks; ++b) {
     const int lanes_b = load(b, good_);
     if (lanes_b <= 0) break;
-    batch_block_lanes_[b] = lanes_b;
-    good_.eval();
-    if (transition) {
-      batch_launch_[b].assign(good_.rawValues().begin(),
-                              good_.rawValues().end());
-      // Broadside follow-on capture: every DFF loads its D value, PIs
-      // held.
-      for (GateId dff : nl_->dffs()) {
-        good_.setSourceRow(
-            dff,
-            batch_launch_[b].data() + size_t{nl_->gate(dff).fanins[0].v} * W);
-      }
-      good_.eval();
+    checkBlockLanes(lanes_b);
+    if (per_block) {
+      newly += simulateBlock(
+          pattern_base + static_cast<int64_t>(b * lanes()), lanes_b,
+          transition);
+    } else {
+      frames_.push_back(loadFrame(transition, b, lanes_b, /*snapshot=*/true));
     }
-    batch_frames_[b].assign(good_.rawValues().begin(),
-                            good_.rawValues().end());
-    ++used_blocks;
   }
-  if (used_blocks == 0 || active_.empty()) return 0;
-
-  prepareComputeSet();
-  const size_t n_compute = compute_faults_.size();
-  const unsigned n_threads = resolveThreads(n_compute * used_blocks);
-  ensureWorkersW<W>(n_threads);
-
+  if (per_block || frames_.empty() || active_.empty()) return newly;
   OBS_SPAN("fsim.batch");
-  OBS_COUNT("fsim.batch_dispatches", 1);
-  OBS_COUNT("fsim.batch_blocks", used_blocks);
-
-  batch_hits_.resize(std::max<size_t>(batch_hits_.size(), n_threads));
-  for (unsigned t = 0; t < n_threads; ++t) {
-    batch_hits_[t].resize(
-        std::max<size_t>(batch_hits_[t].size(), used_blocks));
-    for (HitQueue& q : batch_hits_[t]) {
-      q.slots.clear();
-      q.rows.clear();
-    }
-  }
-
-  std::vector<LaneWord<W>> block_masks(used_blocks);
-  for (size_t b = 0; b < used_blocks; ++b) {
-    block_masks[b] =
-        LaneWord<W>::firstLanes(static_cast<size_t>(batch_block_lanes_[b]));
-  }
-
-  // With dropping on, a fault detected enough times by block b leaves
-  // the active set before block b+1 in the sequential schedule, so its
-  // later-block masks are never observed. Precompute, per compute slot,
-  // how many more lane detections retire every active member of the
-  // slot's class; workers stop walking blocks for a slot once its
-  // accumulated mask popcounts reach that need. reduceBatch applies the
-  // same arithmetic serially, so the skipped work is exactly the work
-  // the per-block loop would also have skipped — results are unchanged.
-  if (opts_.drop_detected) {
-    batch_slot_need_.assign(n_compute, 0);
-    for (size_t ai = 0; ai < active_.size(); ++ai) {
-      const FaultRecord& rec = faults_->record(active_[ai]);
-      const uint32_t need = opts_.n_detect > rec.detect_count
-                                ? opts_.n_detect - rec.detect_count
-                                : 1;
-      uint32_t& slot_need = batch_slot_need_[merge_slot_[ai]];
-      slot_need = std::max(slot_need, need);
-    }
-  } else {
-    batch_slot_need_.assign(n_compute, 0);
-  }
-
-  // One dispatch for the whole batch: each worker walks its fault shard
-  // with blocks inner (the fault's cone structure stays hot in cache)
-  // and appends non-empty masks to its own per-block hit queue.
-  auto compute_range = [&](unsigned shard, ScratchW<W>& sc, size_t lo,
-                           size_t hi) {
-    uint64_t hit_rows = 0;
-    uint64_t deferred_blocks = 0;
-    for (size_t ci = lo; ci < hi; ++ci) {
-      const Fault& f = faults_->record(compute_faults_[ci]).fault;
-      const uint32_t need = batch_slot_need_[ci];
-      uint32_t got = 0;
-      for (size_t b = 0; b < used_blocks; ++b) {
-        const uint64_t* const gv = batch_frames_[b].data();
-        const InjectResultW<W> inj =
-            transition
-                ? injectTransitionW<W>(f, block_masks[b], gv,
-                                       batch_launch_[b].data())
-                : injectStuckAtW<W>(f, block_masks[b], gv);
-        LaneWord<W> detect = inj.direct_detect ? inj.direct_mask
-                                               : LaneWord<W>{};
-        if (inj.diff.any()) {
-          const SeedW<W> seed{f.gate, inj.diff};
-          detect |= propagateSeedsW<W>(sc, {&seed, 1}, gv, is_observed_,
-                                       /*forced=*/nullptr,
-                                       /*record_touched=*/false, inj.diff);
-        }
-        if (detect.any()) {
-          ++hit_rows;
-          HitQueue& q = batch_hits_[shard][b];
-          q.slots.push_back(static_cast<uint32_t>(ci));
-          const size_t off = q.rows.size();
-          q.rows.resize(off + W);
-          detect.store(q.rows.data() + off);
-          if (need != 0) {
-            got += static_cast<uint32_t>(detect.popcount());
-            // The sequential loop drops this class before the next
-            // block; its remaining masks would be discarded unseen.
-            if (got >= need) {
-              deferred_blocks += used_blocks - 1 - b;
-              break;
-            }
-          }
-        }
-      }
-    }
-    OBS_COUNT("fsim.batch_hit_rows", hit_rows);
-    OBS_COUNT("fsim.batch_deferred_blocks", deferred_blocks);
-  };
-  if (n_threads <= 1) {
-    compute_range(0, static_cast<ScratchW<W>&>(*scratch_[0]), 0, n_compute);
-  } else {
-    pool_->run(n_threads, [&](unsigned shard) {
-      const size_t lo = n_compute * shard / n_threads;
-      const size_t hi = n_compute * (shard + 1) / n_threads;
-      compute_range(shard, static_cast<ScratchW<W>&>(*scratch_[shard]), lo,
-                    hi);
-    });
-  }
-
-  return reduceBatch(pattern_base, used_blocks, n_threads);
-}
-
-size_t FaultSimulator::reduceBatch(int64_t pattern_base, size_t n_blocks,
-                                   unsigned n_threads) {
-  // The batch counterpart of mergeBlock: one serial pass per block, in
-  // block order and fault-list order within a block, so the bookkeeping
-  // and observer stream are bit-identical to the sequential per-block
-  // loop. A fault dropped by an earlier block's pass is skipped in later
-  // blocks' passes — exactly as it would have left the active set
-  // between sequential blocks. block_detect_ doubles as an epoch-stamped
-  // slot-row table so hit rows land in O(hits), not O(slots), per block.
-  const size_t w = lane_words_;
-  const size_t n_compute = compute_faults_.size();
-  const size_t n_active = active_.size();
-  block_detect_.resize(n_compute * w);
-  if (batch_slot_stamp_.size() < n_compute) {
-    batch_slot_stamp_.resize(n_compute, 0);
-  }
-  batch_dropped_.assign(n_active, 0);
-  size_t newly_detected = 0;
-  size_t dropped = 0;
-  bool any_dropped = false;
-
-  for (size_t b = 0; b < n_blocks; ++b) {
-    if (++batch_epoch_ == 0) {
-      // Stamp wraparound: invalidate every stale stamp once per 2^32
-      // blocks rather than carrying wider stamps on the hot path.
-      std::fill(batch_slot_stamp_.begin(), batch_slot_stamp_.end(), 0u);
-      batch_epoch_ = 1;
-    }
-    const uint32_t epoch = batch_epoch_;
-    for (unsigned t = 0; t < n_threads; ++t) {
-      const HitQueue& q = batch_hits_[t][b];
-      for (size_t i = 0; i < q.slots.size(); ++i) {
-        const uint32_t slot = q.slots[i];
-        std::copy_n(q.rows.data() + i * w, w,
-                    block_detect_.data() + size_t{slot} * w);
-        batch_slot_stamp_[slot] = epoch;
-      }
-    }
-
-    const int64_t base =
-        pattern_base + static_cast<int64_t>(b) * static_cast<int64_t>(w * 64);
-    for (size_t ai = 0; ai < n_active; ++ai) {
-      if (batch_dropped_[ai] != 0) continue;
-      const uint32_t slot = merge_slot_[ai];
-      if (batch_slot_stamp_[slot] != epoch) continue;  // no detection
-      const size_t fi = active_[ai];
-      const sim::LaneMask detect(block_detect_.data() + size_t{slot} * w, w);
-      if (detection_observer_ != nullptr) {
-        detection_observer_->onDetectionMask(fi, base, detect);
-      }
-      FaultRecord& rec = faults_->record(fi);
-      const bool was_undetected = rec.status == FaultStatus::kUndetected;
-      if (was_undetected) {
-        faults_->recordDetection(fi, base + detect.firstLane());
-        ++newly_detected;
-        rec.detect_count += static_cast<uint32_t>(detect.popcount()) - 1;
-      } else {
-        rec.detect_count += static_cast<uint32_t>(detect.popcount());
-      }
-      if (opts_.drop_detected && rec.detect_count >= opts_.n_detect) {
-        batch_dropped_[ai] = 1;
-        any_dropped = true;
-        ++dropped;
-      }
-    }
-  }
-
-  if (any_dropped) {
-    size_t out = 0;
-    for (size_t ai = 0; ai < n_active; ++ai) {
-      if (batch_dropped_[ai] == 0) active_[out++] = active_[ai];
-    }
-    active_.resize(out);
-  }
-  OBS_COUNT("fsim.detections", newly_detected);
-  OBS_COUNT("fsim.faults_dropped", dropped);
-  // Batch twin of mergeBlock's sample: one per ordered reduction,
-  // anchored at the last pattern the batch reached.
-  OBS_SAMPLE("fsim.block",
-             pattern_base + static_cast<int64_t>(n_blocks * w * 64));
-  return newly_detected;
-}
-
-size_t FaultSimulator::simulateBlockStuckAt(int64_t pattern_base,
-                                            int n_patterns) {
-  if (n_patterns < 0) n_patterns = static_cast<int>(lanes());
-  good_.eval();
-  switch (lane_words_) {
-    case 1:
-      return simulateActiveFaultsW<1>(pattern_base, n_patterns, false);
-    case 4:
-      return simulateActiveFaultsW<4>(pattern_base, n_patterns, false);
-    case 8:
-      return simulateActiveFaultsW<8>(pattern_base, n_patterns, false);
-    default:
-      assert(false && "unsupported lane width");
-      return 0;
-  }
-}
-
-size_t FaultSimulator::simulateBlockTransition(int64_t pattern_base,
-                                               int n_patterns) {
-  if (n_patterns < 0) n_patterns = static_cast<int>(lanes());
-  // Launch cycle from the currently loaded sources.
-  good_.eval();
-  launch_values_.assign(good_.rawValues().begin(), good_.rawValues().end());
-  // Broadside follow-on capture: every DFF loads its D value, PIs held.
-  for (GateId dff : nl_->dffs()) {
-    good_.setSourceRow(
-        dff,
-        launch_values_.data() + size_t{nl_->gate(dff).fanins[0].v} *
-                                    lane_words_);
-  }
-  good_.eval();
-  switch (lane_words_) {
-    case 1:
-      return simulateActiveFaultsW<1>(pattern_base, n_patterns, true);
-    case 4:
-      return simulateActiveFaultsW<4>(pattern_base, n_patterns, true);
-    case 8:
-      return simulateActiveFaultsW<8>(pattern_base, n_patterns, true);
-    default:
-      assert(false && "unsupported lane width");
-      return 0;
-  }
-}
-
-size_t FaultSimulator::simulateBlockStuckAtStaged(
-    int64_t pattern_base, int n_patterns,
-    std::span<const std::vector<GateId>> stages) {
-  switch (lane_words_) {
-    case 1:
-      return simulateStagedW<1>(pattern_base, n_patterns, stages);
-    case 4:
-      return simulateStagedW<4>(pattern_base, n_patterns, stages);
-    case 8:
-      return simulateStagedW<8>(pattern_base, n_patterns, stages);
-    default:
-      assert(false && "unsupported lane width");
-      return 0;
-  }
+  return simulateFrames(pattern_base, Pass::kBatch, {});
 }
 
 size_t FaultSimulator::simulateBatchStuckAt(int64_t pattern_base,
                                             size_t n_blocks,
                                             const BlockLoader& load) {
-  switch (lane_words_) {
-    case 1:
-      return simulateBatchW<1>(pattern_base, n_blocks, load, false);
-    case 4:
-      return simulateBatchW<4>(pattern_base, n_blocks, load, false);
-    case 8:
-      return simulateBatchW<8>(pattern_base, n_blocks, load, false);
-    default:
-      assert(false && "unsupported lane width");
-      return 0;
-  }
+  return simulateBatch(pattern_base, n_blocks, load, /*transition=*/false);
 }
 
 size_t FaultSimulator::simulateBatchTransition(int64_t pattern_base,
                                                size_t n_blocks,
                                                const BlockLoader& load) {
-  switch (lane_words_) {
-    case 1:
-      return simulateBatchW<1>(pattern_base, n_blocks, load, true);
-    case 4:
-      return simulateBatchW<4>(pattern_base, n_blocks, load, true);
-    case 8:
-      return simulateBatchW<8>(pattern_base, n_blocks, load, true);
-    default:
-      assert(false && "unsupported lane width");
-      return 0;
-  }
+  return simulateBatch(pattern_base, n_blocks, load, /*transition=*/true);
 }
 
 size_t FaultSimulator::markUnobservable() {

@@ -15,14 +15,17 @@
 //    between the two captures is forced to hold its launch value in the
 //    second capture, modelling a gross delay defect at functional speed.
 //
-// Dispatch granularity: the per-block entry points shard one block's
-// faults across the worker pool; the batch entry points snapshot several
-// blocks' good-machine frames first and shard faults x blocks in a
-// single pool dispatch, so the per-dispatch shard/merge cost is
-// amortized over the whole batch. Workers append (slot, mask-row) hits
-// to per-thread per-block queues; a single serial reduction drains them
-// in block order and fault-list order, so results stay bit-identical to
-// the sequential per-block loop for every thread count.
+// Dispatch: every entry point runs one pipeline.
+//  1. Frames: the good machine is evaluated on the loaded sources. A
+//     single block is read in place; a batch snapshots one frame per
+//     block; staged capture snapshots one frame per capture pulse.
+//  2. Compute: the live compute set is sharded over the worker pool. A
+//     per-fault kernel walks each fault over every frame and appends
+//     (slot, mask-row) hits to per-thread per-block queues.
+//  3. Reduce: one serial pass drains the queues in block order and
+//     fault-list order. It alone records detections, fires the detection
+//     observer, and drops faults, so results are bit-identical to the
+//     sequential per-block loop for every thread count and batch size.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +56,7 @@ class ReachObserver {
 
 /// Callback receiving, per simulated block and in fault-list order, the
 /// per-pattern-lane detection mask of every fault that produced one.
-/// Fired from the serial merge phase, so the stream is bit-identical for
+/// Fired from the serial reduction, so the stream is bit-identical for
 /// every worker-thread count. Drives the diagnosis response dictionaries
 /// (src/diag/dictionary); record with dropping disabled to get complete
 /// per-pattern rows.
@@ -92,8 +95,8 @@ enum class BlockEngine : uint8_t {
 /// are exact — results are bit-identical either way — but profiles
 /// change; spell out `.collapse` / `.engine` / `.lane_words` to pin the
 /// work distribution. Field validity (supported lane width, non-zero
-/// n-detect/batch) is checked centrally by validateFsimOptions, which
-/// the simulator constructor calls.
+/// n-detect) is checked centrally by validateFsimOptions, which the
+/// simulator constructor calls.
 struct FsimOptions {
   /// Drop a fault after this many detections. Must be >= 1.
   uint32_t n_detect = 1;
@@ -102,9 +105,10 @@ struct FsimOptions {
   bool drop_detected = true;
   /// Worker threads for the per-fault propagation loop. 0 means hardware
   /// concurrency. Results are bit-identical for every thread count: the
-  /// workers only compute per-fault detection masks, and a serial merge
-  /// in fault-list order applies detections, observer callbacks, and
-  /// n-detect dropping.
+  /// workers only compute per-fault detection masks, and a serial
+  /// reduction in fault-list order applies detections, observer
+  /// callbacks, and n-detect dropping. A reach observer runs on one
+  /// worker whatever this says.
   uint32_t threads = 1;
   /// Below this many live faults per worker the engine uses fewer shards —
   /// thread dispatch overhead beats the propagation work. Results are
@@ -131,21 +135,25 @@ struct FsimOptions {
   /// counts at drop time may differ (a wider block merges more patterns
   /// at once before the drop decision).
   uint32_t lane_words = 1;
-  /// Lane blocks the batch entry points snapshot per pool dispatch.
-  /// Purely a work-granularity knob for callers sizing their batches
-  /// (core::CoverageFlow, benches read it); results are bit-identical
-  /// for every value. Must be >= 1.
-  uint32_t batch_blocks = 8;
 };
 
+/// Lane blocks a batched caller (core::CoverageFlow, bench_fsim) hands
+/// one simulateBatch* call. Results are bit-identical for every batch
+/// size; only the pool-dispatch granularity changes.
+inline constexpr size_t kBatchBlocks = 8;
+
 /// Central FsimOptions validity check: throws std::invalid_argument on
-/// an unsupported lane width, n_detect == 0, or batch_blocks == 0. The
-/// engine/collapse/observer interplay needs no rejection — every
-/// combination is mask-exact — but the resolution rules live in one
-/// place each: prepareComputeSet (folding) and the per-block engine
-/// selection in the simulate paths.
+/// an unsupported lane width or n_detect == 0. The engine/collapse/
+/// observer interplay needs no rejection — every combination is
+/// mask-exact — but the resolution rules live in one place each:
+/// prepareComputeSet (folding) and the engine selection in the
+/// dispatch pipeline.
 void validateFsimOptions(const FsimOptions& opts);
 
+/// The PPSFP fault simulator over one netlist, fault list, and
+/// observation set (see the file comment for the dispatch pipeline).
+/// Decides the fault list in place: detections, n-detect counts, and
+/// drops land in the FaultList it was built on.
 class FaultSimulator {
  public:
   /// `observed` is the set of gates whose output values the tester can
@@ -182,9 +190,11 @@ class FaultSimulator {
   }
 
   /// Stuck-at block: patterns are lanes [0, n_patterns) of the current
-  /// sources, n_patterns <= lanes(). Returns the number of newly
-  /// detected faults. Pattern indices recorded into the fault list are
-  /// pattern_base + lane.
+  /// sources (negative = lanes()). Returns the number of newly detected
+  /// faults. Pattern indices recorded into the fault list are
+  /// pattern_base + lane. Throws std::invalid_argument when n_patterns
+  /// exceeds lanes(), which this and every simulateBlock* entry reject
+  /// rather than silently clamp.
   size_t simulateBlockStuckAt(int64_t pattern_base, int n_patterns = -1);
 
   /// Ordered-capture stuck-at block, modeling the session's staggered
@@ -196,7 +206,8 @@ class FaultSimulator {
   /// model misses. Detection is recorded at the D drivers of observed
   /// stage DFFs at their own capture pulse; observed gates not driving
   /// any stage DFF (e.g. raw primary outputs) are ignored. The reach
-  /// observer is not supported in this mode. With a single stage this is
+  /// observer is not supported in this mode: calling this with one
+  /// attached throws std::logic_error. With a single stage this is
   /// equivalent to simulateBlockStuckAt over a scan observation set.
   size_t simulateBlockStuckAtStaged(
       int64_t pattern_base, int n_patterns,
@@ -209,22 +220,24 @@ class FaultSimulator {
 
   /// Fills block `block`'s sources into `sim` and returns the number of
   /// pattern lanes it loaded (1..lanes(); the final block of a run may
-  /// be partial). Batch entry points call it once per block up front.
+  /// be partial; <= 0 ends the batch early). Batch entry points call it
+  /// once per block up front and throw std::invalid_argument when it
+  /// returns more than lanes().
   using BlockLoader = std::function<int(size_t block, sim::Simulator2v& sim)>;
 
   /// Batched stuck-at simulation: snapshots `n_blocks` good-machine
   /// frames via `load`, then computes every live fault against every
-  /// block in one pool dispatch — per-thread per-block hit queues, one
-  /// serial in-order reduction — so shard/merge overhead is paid once
-  /// per batch instead of once per block. Pattern indices are
-  /// pattern_base + block * lanes() + lane. Bit-identical to calling
-  /// simulateBlockStuckAt per block (a fault dropped by an earlier
-  /// block's reduction is skipped in later blocks' reductions, exactly
-  /// as it would have left the active set). Batches run the per-fault
-  /// engine; with a reach observer attached or BlockEngine::kStemCpt
-  /// pinned, this falls back to the sequential per-block loop (masks are
-  /// engine-exact, so results are unchanged either way). Returns total
-  /// newly detected faults.
+  /// block in one pool dispatch and one ordered reduction, so
+  /// shard/merge overhead is paid once per batch instead of once per
+  /// block. Pattern indices are pattern_base + block * lanes() + lane.
+  /// Bit-identical to calling simulateBlockStuckAt per block (a fault
+  /// dropped by an earlier block is skipped in later blocks, exactly as
+  /// it would have left the active set). Batches run the per-fault
+  /// engine; with a reach observer attached, BlockEngine::kStemCpt
+  /// pinned, a kAuto live set dense enough for stem-CPT, or one
+  /// requested thread, this falls back to the sequential per-block loop
+  /// (masks are engine-exact, so results are unchanged either way).
+  /// Returns total newly detected faults.
   size_t simulateBatchStuckAt(int64_t pattern_base, size_t n_blocks,
                               const BlockLoader& load);
 
@@ -256,10 +269,12 @@ class FaultSimulator {
   void restrictActiveSet(std::span<const size_t> fault_indices);
 
   /// Attaches the per-fault reach callback (nullptr detaches). Forces
-  /// the per-fault engine and disables class folding while attached.
+  /// the per-fault engine on one worker and disables class folding while
+  /// attached.
   void setReachObserver(ReachObserver* obs) { reach_observer_ = obs; }
   /// Attaches the per-fault detection-mask callback (nullptr detaches);
-  /// fired from the serial merge, so streams are thread-count-invariant.
+  /// fired from the serial reduction, so streams are
+  /// thread-count-invariant.
   void setDetectionObserver(DetectionObserver* obs) {
     detection_observer_ = obs;
   }
@@ -279,6 +294,7 @@ class FaultSimulator {
   [[nodiscard]] const CollapseMap& collapseMap() const {
     return collapse_map_;
   }
+  /// Summary counts of collapseMap() (empty when collapse is off).
   [[nodiscard]] const CollapseStats& collapseStats() const {
     return collapse_map_.stats();
   }
@@ -301,6 +317,20 @@ class FaultSimulator {
   }
 
  private:
+  /// What a dispatch's frames are: one lane block (read in place from
+  /// good_), a batch of snapshotted lane blocks, or one block's staged
+  /// capture pulses in order.
+  enum class Pass : uint8_t { kBlock, kBatch, kStaged };
+
+  /// One good-machine frame of a dispatch (gate-major, laneWords()
+  /// words per gate). `launch` is the launch cycle of a transition
+  /// frame (nullptr for stuck-at); `lanes` counts the pattern lanes.
+  struct Frame {
+    const uint64_t* good = nullptr;
+    const uint64_t* launch = nullptr;
+    int lanes = 0;
+  };
+
   /// Injection outcome for one fault against one good frame: the
   /// faulty-XOR-good block at the site output plus the direct capture
   /// term of DFF-pin faults.
@@ -335,12 +365,18 @@ class FaultSimulator {
   template <size_t W>
   struct ScratchW;
 
-  /// One worker's pending detections for one batch block: parallel
-  /// arrays of compute slots and their W-word mask rows, drained by the
-  /// serial batch reduction.
+  /// One worker's pending detections for one block: parallel arrays of
+  /// compute slots and their W-word mask rows, drained by reduceHits.
   struct HitQueue {
     std::vector<uint32_t> slots;
     std::vector<uint64_t> rows;  // lane_words_ words per slot entry
+
+    template <size_t W>
+    void push(uint32_t slot, const sim::LaneWord<W>& mask) {
+      slots.push_back(slot);
+      rows.resize(rows.size() + W);
+      mask.store(rows.data() + rows.size() - W);
+    }
   };
 
   template <size_t W>
@@ -382,17 +418,54 @@ class FaultSimulator {
                                    const sim::LaneWord<W>& early_exit_mask)
       const;
 
-  template <size_t W>
-  size_t simulateActiveFaultsW(int64_t pattern_base, int n_patterns,
-                               bool transition);
-  template <size_t W>
-  size_t simulateStagedW(int64_t pattern_base, int n_patterns,
-                         std::span<const std::vector<GateId>> stages);
-  template <size_t W>
-  size_t simulateBatchW(int64_t pattern_base, size_t n_blocks,
-                        const BlockLoader& load, bool transition);
+  /// Rejects a block of more than lanes() patterns (std::invalid_argument).
+  void checkBlockLanes(int n_patterns) const;
 
-  /// Builds the per-block compute set: with folding, the unique class
+  /// The frame builder: evaluates the good machine on the loaded sources
+  /// — for a transition frame, snapshots that launch cycle into
+  /// launch_frames_[slot] and steps the broadside capture (every DFF
+  /// loads its D value, PIs held) — and returns the resulting frame,
+  /// snapshotted into good_frames_[slot] or, without `snapshot`, read
+  /// in place from good_.
+  Frame loadFrame(bool transition, size_t slot, int lanes, bool snapshot);
+
+  /// Single-block entry: builds the in-place frame, then simulateFrames.
+  size_t simulateBlock(int64_t pattern_base, int n_patterns,
+                       bool transition);
+  /// Batch entry: routes to the per-block loop where batching cannot
+  /// pay (see the .cpp), otherwise snapshots every block's frame and
+  /// runs them as one simulateFrames dispatch.
+  size_t simulateBatch(int64_t pattern_base, size_t n_blocks,
+                       const BlockLoader& load, bool transition);
+
+  /// The pipeline every entry point feeds, over the frames in frames_
+  /// (active_ non-empty): compute set, engine choice, the injection
+  /// site, one width dispatch into the engine, and reduceHits. Returns
+  /// newly detected faults.
+  size_t simulateFrames(int64_t pattern_base, Pass pass,
+                        std::span<const std::vector<GateId>> stages);
+
+  /// The one shard loop: runs fn(shard, scratch, lo, hi) over [0, n)
+  /// split evenly across `n_threads` workers (inline on one).
+  template <size_t W, typename Fn>
+  void forShards(unsigned n_threads, size_t n, Fn&& fn);
+
+  /// The per-fault kernel: walks every compute slot over every frame,
+  /// propagating its diff (per-fault engine) or masking it with obs_out_
+  /// (stem-CPT, single block), and queues each non-empty mask. With
+  /// dropping on, a slot stops walking frames once it has gathered the
+  /// detections that retire its class, exactly where the sequential
+  /// per-block loop would have dropped it.
+  template <size_t W>
+  void simulateFaultsW(unsigned n_threads, bool use_cpt, bool batch);
+
+  /// The staged-capture engine: frames_ are one block's capture pulses;
+  /// fault effects hop pulses through corrupted captured state.
+  template <size_t W>
+  void simulateStagedW(unsigned n_threads,
+                       std::span<const std::vector<GateId>> stages);
+
+  /// Builds the per-dispatch compute set: with folding, the unique class
   /// representatives of the live faults (merge_slot_ maps each live
   /// fault to its class's compute slot); without, the live faults
   /// themselves (identity mapping). Representatives are canonical per
@@ -401,22 +474,20 @@ class FaultSimulator {
   void prepareComputeSet();
 
   /// Stem-CPT phases A+B: full-lane stem propagation (sharded) and the
-  /// serial reverse sensitization pass, filling obs_out_ (stride W).
+  /// serial reverse sensitization pass over frame `fr`, filling obs_out_
+  /// (stride W).
   template <size_t W>
-  void computeObservabilityW(const sim::LaneWord<W>& lane_mask,
+  void computeObservabilityW(const Frame& fr,
+                             const sim::LaneWord<W>& lane_mask,
                              unsigned n_threads);
 
-  /// Serial phase-2 merge over block_detect_: detection bookkeeping,
-  /// observer callbacks, n-detect dropping — in fault-list order.
-  /// Width-agnostic: walks lane_words_-wide rows.
-  size_t mergeBlock(int64_t pattern_base, bool buffer_reach);
-
-  /// Serial batch reduction: drains the per-thread hit queues block by
-  /// block (fault-list order within a block) with the same bookkeeping
-  /// as mergeBlock; faults dropped by an earlier block are skipped in
-  /// later blocks. Compacts active_ once at the end.
-  size_t reduceBatch(int64_t pattern_base, size_t n_blocks,
-                     unsigned n_threads);
+  /// The one ordered reduction: drains the per-thread hit queues block
+  /// by block, in fault-list order within a block — detection
+  /// bookkeeping, observer callbacks, n-detect dropping. A fault dropped
+  /// by an earlier block is skipped in later blocks. Compacts active_
+  /// once at the end. Width-agnostic: rows are lane_words_ words wide.
+  size_t reduceHits(int64_t pattern_base, size_t n_blocks,
+                    unsigned n_threads);
 
   [[nodiscard]] unsigned resolveThreads(size_t n_work_units) const;
   template <size_t W>
@@ -433,13 +504,13 @@ class FaultSimulator {
   std::vector<GateId> observed_;
   std::vector<uint8_t> is_observed_;
 
-  // Launch-cycle good values for transition simulation (stride W).
-  std::vector<uint64_t> launch_values_;
-
-  // Staged capture: good-machine values per capture frame (stride W),
-  // and per-stage observation flags (D drivers of that stage's observed
-  // DFFs).
-  std::vector<std::vector<uint64_t>> frame_vals_;
+  // The current dispatch's frames, with the snapshot storage behind them
+  // (per block or per capture pulse; launch cycles for transition), and
+  // the staged per-pulse observation flags (D drivers of that pulse's
+  // observed DFFs).
+  std::vector<Frame> frames_;
+  std::vector<std::vector<uint64_t>> good_frames_;
+  std::vector<std::vector<uint64_t>> launch_frames_;
   std::vector<std::vector<uint8_t>> stage_observed_;
 
   // One propagation scratch per worker (index 0 doubles as the serial
@@ -459,33 +530,23 @@ class FaultSimulator {
 
   // Equivalence folding (empty map when opts_.collapse is off).
   CollapseMap collapse_map_;
-  std::vector<size_t> compute_faults_;  // fault indices simulated this block
+  std::vector<size_t> compute_faults_;  // fault indices simulated this dispatch
   std::vector<uint32_t> merge_slot_;    // active position -> compute slot
   std::vector<uint32_t> rep_slot_;      // per-fault slot scratch (kNoSlot)
 
-  // Per-block compute results, indexed by position in `compute_faults_`
-  // (block_detect_ stride W). The batch reduction reuses block_detect_
-  // as its epoch-stamped slot-row table.
-  std::vector<uint64_t> block_detect_;
-  std::vector<uint8_t> block_had_diff_;
-  std::vector<std::vector<GateId>> block_touched_;
-
-  // Batch state: per-block good frames (and launch frames for
-  // transition), per-block lane counts, the per-thread per-block hit
-  // queues, the epoch-stamped slot table, and the per-active-position
-  // dropped-in-this-batch flags.
-  std::vector<std::vector<uint64_t>> batch_frames_;
-  std::vector<std::vector<uint64_t>> batch_launch_;
-  std::vector<int> batch_block_lanes_;
-  std::vector<std::vector<HitQueue>> batch_hits_;  // [thread][block]
-  std::vector<uint32_t> batch_slot_stamp_;
-  uint32_t batch_epoch_ = 0;
-  std::vector<uint8_t> batch_dropped_;
+  // Reduction state: the per-thread per-block hit queues, the
+  // epoch-stamped slot -> hit-row table, and the per-active-position
+  // dropped-in-this-dispatch flags.
+  std::vector<std::vector<HitQueue>> hits_;  // [thread][block]
+  std::vector<const uint64_t*> slot_row_;
+  std::vector<uint32_t> slot_stamp_;
+  uint32_t epoch_ = 0;
+  std::vector<uint8_t> dropped_;
   // Per-compute-slot detections still needed before every active member
   // of the slot's fault class is dropped (0 = never stop early). Lets
   // workers skip the blocks a sequentially-dropped fault would never
   // have been simulated on, without changing any reported mask.
-  std::vector<uint32_t> batch_slot_need_;
+  std::vector<uint32_t> slot_need_;
 
   std::vector<size_t> active_;
   ReachObserver* reach_observer_ = nullptr;

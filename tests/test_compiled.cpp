@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "fault/collapse.hpp"
@@ -367,6 +368,33 @@ TEST(EngineDifferential, ReachObserverUnaffectedByCollapse) {
       EXPECT_EQ(ref, recorder.events);
     }
   }
+}
+
+TEST(EngineDifferential, StagedCaptureRejectsReachObserver) {
+  // Staged capture carries fault effects across pulses and has no
+  // per-fault reach cone to report: attaching an observer is a caller
+  // error in every build type, and nothing may be simulated or decided.
+  const Netlist nl = gen::buildTwoDomainPipe(8);
+  std::vector<std::vector<GateId>> stages(nl.numDomains());
+  for (GateId dff : nl.dffs()) {
+    stages[nl.gate(dff).domain.v].push_back(dff);
+  }
+  FaultList faults = FaultList::enumerateStuckAt(nl);
+  FaultSimulator fsim(nl, faults, fault::fullObservationSet(nl));
+  ReachRecorder recorder;
+  fsim.setReachObserver(&recorder);
+  std::mt19937_64 rng(17);
+  for (GateId pi : nl.inputs()) fsim.setSource(pi, rng());
+  for (GateId dff : nl.dffs()) fsim.setSource(dff, rng());
+  const size_t live = fsim.liveFaultCount();
+  EXPECT_THROW(fsim.simulateBlockStuckAtStaged(0, 64, stages),
+               std::logic_error);
+  EXPECT_TRUE(recorder.events.empty());
+  EXPECT_EQ(fsim.liveFaultCount(), live);
+  EXPECT_EQ(faults.coverage().detected, 0u);
+
+  fsim.setReachObserver(nullptr);
+  EXPECT_GT(fsim.simulateBlockStuckAtStaged(0, 64, stages), 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/architect.hpp"
@@ -23,6 +24,7 @@
 #include "fault/fsim.hpp"
 #include "gen/ipcore.hpp"
 #include "gen/refcircuits.hpp"
+#include "obs/obs.hpp"
 #include "sim/sim2v.hpp"
 
 namespace lbist {
@@ -102,7 +104,8 @@ struct CampaignConfig {
   bool collapse = true;
   bool drop = true;
   uint32_t n_detect = 2;
-  bool batched = false;  // one simulateBatch* call vs per-block calls
+  bool batched = false;  // simulateBatch* calls vs per-block calls
+  size_t batch_blocks = 0;  // blocks per simulateBatch* call (0 = all)
   bool staged = false;   // per-domain staged capture (dictionary path)
   bool transition = false;
 };
@@ -120,7 +123,6 @@ CampaignState runLaneCampaign(const Netlist& nl, const Stimulus& st,
   opts.collapse = cfg.collapse;
   opts.engine = cfg.engine;
   opts.lane_words = cfg.lane_words;
-  opts.batch_blocks = 4;
   FaultSimulator fsim(nl, faults, fault::fullObservationSet(nl), opts);
   const size_t n_words = st.words.empty() ? 0 : st.words[0].size();
   RowObserver observer(faults.size(), n_words);
@@ -144,19 +146,25 @@ CampaignState runLaneCampaign(const Netlist& nl, const Stimulus& st,
   };
 
   if (cfg.batched) {
-    const size_t n_blocks = static_cast<size_t>(
+    const size_t total_blocks = static_cast<size_t>(
         (n_patterns + block_lanes - 1) / block_lanes);
-    const auto load = [&](size_t b, sim::Simulator2v& sim) -> int {
-      const int64_t base = static_cast<int64_t>(b) * block_lanes;
-      const int lanes = static_cast<int>(
-          std::min<int64_t>(block_lanes, n_patterns - base));
-      loadInto(sim, base, lanes);
-      return lanes;
-    };
-    if (cfg.transition) {
-      fsim.simulateBatchTransition(0, n_blocks, load);
-    } else {
-      fsim.simulateBatchStuckAt(0, n_blocks, load);
+    const size_t per_call =
+        cfg.batch_blocks == 0 ? total_blocks : cfg.batch_blocks;
+    for (size_t first = 0; first < total_blocks; first += per_call) {
+      const size_t n_blocks = std::min(per_call, total_blocks - first);
+      const auto load = [&](size_t b, sim::Simulator2v& sim) -> int {
+        const int64_t base = static_cast<int64_t>(first + b) * block_lanes;
+        const int lanes = static_cast<int>(
+            std::min<int64_t>(block_lanes, n_patterns - base));
+        loadInto(sim, base, lanes);
+        return lanes;
+      };
+      const int64_t base = static_cast<int64_t>(first) * block_lanes;
+      if (cfg.transition) {
+        fsim.simulateBatchTransition(base, n_blocks, load);
+      } else {
+        fsim.simulateBatchStuckAt(base, n_blocks, load);
+      }
     }
   } else {
     for (int64_t base = 0; base < n_patterns; base += block_lanes) {
@@ -306,23 +314,99 @@ TEST(LaneDifferential, DropCampaignInvariants) {
 
 TEST(LaneDifferential, BatchMatchesSequential) {
   const Netlist nl = makeIpCore(3, 1'500);
-  const int64_t n_patterns = 1'024;
   const Stimulus st = makeStimulus(nl, 16, 5);
 
-  for (const uint32_t W : {1u, 4u}) {
+  // 1,000 patterns leave the last W=4 block partial (232 of 256 lanes).
+  // kAuto in 2-block batches starts dense — those batches run block by
+  // block on stem-CPT — and moves to the batched per-fault dispatcher
+  // once dropping thins the live set.
+  struct Input {
+    uint32_t lane_words;
+    int64_t n_patterns;
+    BlockEngine engine;
+    size_t batch_blocks;
+  };
+  const Input inputs[] = {
+      {1, 1'024, BlockEngine::kPerFault, 0},
+      {4, 1'024, BlockEngine::kPerFault, 0},
+      {8, 1'024, BlockEngine::kPerFault, 0},
+      {4, 1'000, BlockEngine::kPerFault, 0},
+      {1, 1'024, BlockEngine::kAuto, 2},
+  };
+  for (const Input& in : inputs) {
     for (const uint32_t threads : {1u, 2u}) {
       for (const bool transition : {false, true}) {
         CampaignConfig seq;
-        seq.lane_words = W;
+        seq.lane_words = in.lane_words;
         seq.threads = threads;
+        seq.engine = in.engine;
         seq.transition = transition;
         CampaignConfig bat = seq;
         bat.batched = true;
-        ASSERT_EQ(runLaneCampaign(nl, st, n_patterns, bat),
-                  runLaneCampaign(nl, st, n_patterns, seq))
-            << "W=" << W << " threads=" << threads
-            << " transition=" << transition;
+        bat.batch_blocks = in.batch_blocks;
+        obs::setMetricsEnabled(true);
+        obs::resetAll();
+        const CampaignState batched =
+            runLaneCampaign(nl, st, in.n_patterns, bat);
+        const bool both_routes =
+            obs::counterValue("fsim.blocks_stem_cpt") > 0 &&
+            obs::counterValue("fsim.batch_dispatches") > 0;
+        obs::setMetricsEnabled(false);
+        ASSERT_EQ(batched, runLaneCampaign(nl, st, in.n_patterns, seq))
+            << "W=" << in.lane_words << " patterns=" << in.n_patterns
+            << " engine=" << static_cast<int>(in.engine)
+            << " threads=" << threads << " transition=" << transition;
+        if (in.engine == BlockEngine::kAuto && threads > 1) {
+          EXPECT_TRUE(both_routes)
+              << "kAuto batches must start on stem-CPT and end batched"
+              << " (transition=" << transition << ")";
+        }
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Blocks wider than the lane fabric are caller errors, not clamps: a
+// clamped block would let the caller's pattern numbering run past
+// patterns that were never simulated.
+
+TEST(LaneDifferential, OversizedBlocksRejected) {
+  const Netlist nl = gen::buildMiniAlu(8);
+  std::vector<std::vector<GateId>> stages(nl.numDomains());
+  for (GateId dff : nl.dffs()) {
+    stages[nl.gate(dff).domain.v].push_back(dff);
+  }
+  for (const uint32_t W : {1u, 4u}) {
+    for (const uint32_t threads : {1u, 2u}) {
+      FaultList faults = FaultList::enumerateStuckAt(nl);
+      FsimOptions opts;
+      opts.lane_words = W;
+      opts.threads = threads;
+      opts.engine = BlockEngine::kPerFault;
+      FaultSimulator fsim(nl, faults, fault::fullObservationSet(nl), opts);
+      const int lanes = static_cast<int>(fsim.lanes());
+      EXPECT_THROW(fsim.simulateBlockStuckAt(0, lanes + 1),
+                   std::invalid_argument);
+      EXPECT_THROW(fsim.simulateBlockTransition(0, lanes + 1),
+                   std::invalid_argument);
+      EXPECT_THROW(fsim.simulateBlockStuckAtStaged(0, lanes + 1, stages),
+                   std::invalid_argument);
+      const auto oversized = [&](size_t, sim::Simulator2v&) {
+        return lanes + 1;
+      };
+      EXPECT_THROW(fsim.simulateBatchStuckAt(0, 4, oversized),
+                   std::invalid_argument);
+      EXPECT_THROW(fsim.simulateBatchTransition(0, 4, oversized),
+                   std::invalid_argument);
+      EXPECT_EQ(faults.coverage().detected, 0u)
+          << "W=" << W << " threads=" << threads;
+
+      // Exactly lanes() patterns is a full block, not an error.
+      std::mt19937_64 rng(3);
+      for (GateId pi : nl.inputs()) fsim.setSource(pi, rng());
+      for (GateId dff : nl.dffs()) fsim.setSource(dff, rng());
+      EXPECT_GT(fsim.simulateBlockStuckAt(0, lanes), 0u);
     }
   }
 }

@@ -377,7 +377,6 @@ FsimState runFsimCampaign(const Netlist& nl, bool batched) {
   fault::FsimOptions opts;
   opts.threads = 2;
   opts.min_faults_per_thread = 1;
-  opts.batch_blocks = 4;
   // Pin the per-fault engine: kAuto would route this small dense net to
   // stem-CPT, whose batch call degenerates to the sequential loop — the
   // batched leg must exercise the real batch dispatcher.

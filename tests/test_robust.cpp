@@ -13,6 +13,9 @@
 #include <vector>
 
 #include "atpg/topup.hpp"
+#include "core/architect.hpp"
+#include "core/flow.hpp"
+#include "dft/test_points.hpp"
 #include "fault/fsim.hpp"
 #include "gen/ipcore.hpp"
 #include "gen/refcircuits.hpp"
@@ -979,6 +982,108 @@ TEST(InjectSatSolve, EscalationRescuesHungPrimaryTarget) {
     EXPECT_EQ(fl.record(i).status, clean_fl.record(i).status)
         << "fault " << i << " status diverges from the clean flow";
   }
+}
+
+// ------------------------------------------ fault-sim dispatch drills
+
+/// Every field a fault-simulator dispatch may decide, per fault.
+struct FaultRecords {
+  std::vector<fault::FaultStatus> status;
+  std::vector<uint32_t> detect_count;
+  std::vector<int64_t> first_detect;
+
+  friend bool operator==(const FaultRecords&,
+                         const FaultRecords&) = default;
+};
+
+FaultRecords faultRecords(const fault::FaultList& fl) {
+  FaultRecords r;
+  for (size_t i = 0; i < fl.size(); ++i) {
+    r.status.push_back(fl.record(i).status);
+    r.detect_count.push_back(fl.record(i).detect_count);
+    r.first_detect.push_back(fl.record(i).first_detect_pattern);
+  }
+  return r;
+}
+
+/// A 900-gate, 2-domain core with its default share of random-resistant
+/// logic, so TPI finds points and random phases leave work behind.
+Netlist dispatchDrillCore() {
+  gen::IpCoreSpec spec;
+  spec.seed = 77;
+  spec.target_comb_gates = 900;
+  spec.target_ffs = 64;
+  spec.num_domains = 2;
+  return gen::generateIpCore(spec);
+}
+
+TEST(InjectFsimBlock, BatchedDispatchThrowLeavesStatusesThenRerunConverges) {
+  PlanGuard guard;
+  core::LbistConfig cfg;
+  cfg.num_chains = 4;
+  cfg.test_points = 4;
+  cfg.tpi.warmup_patterns = 256;
+  cfg.tpi.guidance_patterns = 64;
+  const core::BistReadyCore ready =
+      core::buildBistReadyCore(dispatchDrillCore(), cfg);
+
+  // The at-speed coverage shape: transition faults, 8-word lanes on 4
+  // threads. The per-fault engine is pinned so every dispatch is a real
+  // batch (kAuto would route dense batches block by block).
+  fault::FsimOptions opts;
+  opts.threads = 4;
+  opts.lane_words = 8;
+  opts.engine = fault::BlockEngine::kPerFault;
+  const int64_t batch_patterns =
+      static_cast<int64_t>(fault::kBatchBlocks) * 512;
+  const int64_t patterns = 3 * batch_patterns;
+
+  core::CoverageFlow first_batch(ready, /*transition=*/true, opts);
+  first_batch.runRandomPhase(batch_patterns);
+  core::CoverageFlow clean(ready, /*transition=*/true, opts);
+  clean.runRandomPhase(patterns);
+  ASSERT_NE(faultRecords(first_batch.faults()), faultRecords(clean.faults()))
+      << "the later batches must have decisions left to make";
+
+  // Throw on the second dispatch: the first batch's reduction has been
+  // applied and the second batch must not have decided a single fault.
+  setFaultPlan(onePointPlan("fsim.block.simulate", FaultAction::kThrow,
+                            /*key=*/"", /*nth=*/2));
+  core::CoverageFlow injected(ready, /*transition=*/true, opts);
+  EXPECT_THROW(injected.runRandomPhase(patterns), std::runtime_error);
+  EXPECT_EQ(planFiresAt("fsim.block.simulate"), 1u);
+  clearFaultPlan();
+  EXPECT_TRUE(faultRecords(injected.faults()) ==
+              faultRecords(first_batch.faults()))
+      << "a failed batch must not half-apply statuses";
+
+  core::CoverageFlow rerun(ready, /*transition=*/true, opts);
+  rerun.runRandomPhase(patterns);
+  EXPECT_TRUE(faultRecords(rerun.faults()) == faultRecords(clean.faults()));
+}
+
+TEST(InjectFsimBlock, TpiWarmupThrowUnwindsThenRerunConverges) {
+  PlanGuard guard;
+  const Netlist nl = dispatchDrillCore();
+  dft::TpiConfig cfg;
+  cfg.max_points = 4;
+  cfg.warmup_patterns = 256;
+  cfg.guidance_patterns = 64;
+  const dft::TpiResult clean = dft::selectObservePointsFaultSim(nl, cfg);
+  ASSERT_FALSE(clean.points.empty());
+
+  // The first fsim block of TPI is its warm-up: the throw unwinds
+  // through the warm-up scope, which must release everything it holds
+  // (the sanitizer job's leak check covers this path).
+  setFaultPlan(onePointPlan("fsim.block.simulate", FaultAction::kThrow));
+  EXPECT_THROW((void)dft::selectObservePointsFaultSim(nl, cfg),
+               std::runtime_error);
+  EXPECT_EQ(planFiresAt("fsim.block.simulate"), 1u);
+  clearFaultPlan();
+
+  const dft::TpiResult rerun = dft::selectObservePointsFaultSim(nl, cfg);
+  EXPECT_EQ(rerun.points, clean.points);
+  EXPECT_EQ(rerun.predicted_new_detections, clean.predicted_new_detections);
 }
 
 // ------------------------------------------------- harness completeness
