@@ -25,12 +25,14 @@
 
 namespace lbist::core {
 
+/// Test-point insertion method of the flow's step 2.
 enum class TpiMethod : uint8_t {
   kFaultSim,  // the paper's method
   kCop,       // prior-art baseline
   kNone,
 };
 
+/// Knobs of the whole LbistArchitect flow (one BISTed core).
 struct LbistConfig {
   int num_chains = 16;
   size_t test_points = 64;
@@ -56,6 +58,8 @@ struct DomainBist {
   std::vector<size_t> chain_indices;  // into BistReadyCore::scan.chains
 };
 
+/// Output of the flow: the BIST-ready netlist plus everything sessions,
+/// coverage and reports need to know about its DFT and BIST blocks.
 struct BistReadyCore {
   Netlist netlist;
   dft::ScanResult scan;
@@ -79,6 +83,8 @@ struct BistReadyCore {
     return static_cast<int>(scan.max_chain_length);
   }
 
+  /// The TPG/ODC sizing of clock domain `d`, or nullptr if `d` has no
+  /// scan chains.
   [[nodiscard]] const DomainBist* bistFor(DomainId d) const;
 };
 

@@ -21,12 +21,15 @@
 
 namespace lbist::core {
 
+/// Outcome of CoverageFlow::runRandomPhase.
 struct RandomPhaseResult {
   int64_t patterns = 0;
   fault::Coverage coverage;
   double wall_seconds = 0.0;
 };
 
+/// PRPG-exact random-pattern coverage plus deterministic top-up for one
+/// BIST-ready core (the paper's Table 1 coverage columns).
 class CoverageFlow {
  public:
   /// `transition` switches the fault universe to launch-on-capture
@@ -46,16 +49,22 @@ class CoverageFlow {
   /// Deterministic top-up targeting everything still undetected.
   atpg::TopUpResult runTopUp(const atpg::TopUpConfig& cfg = {});
 
+  /// The fault list, with statuses as of the last phase run.
   [[nodiscard]] fault::FaultList& faults() { return faults_; }
+  /// Read-only view of faults().
   [[nodiscard]] const fault::FaultList& faults() const { return faults_; }
   /// Structural-collapsing summary of the flow's fault simulator (for
   /// core::renderCollapseStats report lines).
   [[nodiscard]] const fault::CollapseStats& collapseStats() const {
     return fsim_.collapseStats();
   }
+  /// Nets the fault simulator observes (fault::defaultObservationSet:
+  /// primary-output and scan-cell D-pin drivers).
   [[nodiscard]] const std::vector<GateId>& observed() const {
     return observed_;
   }
+  /// Sources top-up ATPG may assign: scan-cell outputs, plus unwrapped
+  /// non-control primary inputs.
   [[nodiscard]] const std::vector<GateId>& assignable() const {
     return assignable_;
   }

@@ -21,6 +21,8 @@
 
 namespace lbist::core {
 
+/// One core's JTAG-accessible BIST block: a TAP with CTRL, STATUS, SEED
+/// and SIGNATURE data registers in front of a BistSession.
 class LbistTop {
  public:
   static constexpr uint32_t kIrLength = 4;
@@ -36,8 +38,10 @@ class LbistTop {
   /// finish=1).
   static constexpr size_t kCtrlBits = 33;
 
+  /// Binds the BIST-ready core and the die its sessions run against.
   LbistTop(const BistReadyCore& core, const Netlist& die);
 
+  /// The TAP a host drives (through jtag::TapDriver).
   [[nodiscard]] jtag::TapController& tap() { return tap_; }
 
   /// Golden signatures for the on-chip compare (from a fault-free run).
@@ -45,6 +49,7 @@ class LbistTop {
     golden_ = std::move(sigs);
   }
 
+  /// Result of the last self-test started through CTRL, if any.
   [[nodiscard]] const std::optional<SessionResult>& lastRun() const {
     return last_;
   }

@@ -29,6 +29,8 @@
 
 namespace lbist::core {
 
+/// Bit-sliced PRPG stimulus for fault-simulation blocks (see the file
+/// comment).
 class PrpgPatternSource {
  public:
   /// Binds `core` and sizes the per-cell stimulus rows for blocks of

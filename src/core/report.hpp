@@ -14,6 +14,7 @@
 
 namespace lbist::core {
 
+/// One core's column of the paper's Table 1.
 struct Table1Column {
   std::string core_name;
   size_t gate_count = 0;   // original core cells (pre-DFT)
@@ -35,6 +36,7 @@ struct Table1Column {
   double fault_coverage_2 = 0.0;
 };
 
+/// Assembles a Table 1 column from the flow's artifacts and timings.
 [[nodiscard]] Table1Column buildTable1Column(
     const NetlistStats& original_stats, const BistReadyCore& core,
     const RandomPhaseResult& random_phase, const atpg::TopUpResult& topup,

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "obs/obs.hpp"
+
 namespace lbist::core {
 
 BistSession::BistSession(const BistReadyCore& core, const Netlist& die)
@@ -19,6 +21,42 @@ BistSession::BistSession(const BistReadyCore& core, const Netlist& die)
     slice_.emplace_back(db.chain_indices.size(), 0);
     so_slice_.emplace_back(db.chain_indices.size(), 0);
   }
+
+  // Run constants: run() drives every primary input to 0 and test_mode
+  // to 1; only the SI ports (PRPG data) and SE change during a run.
+  std::vector<uint8_t> driven(die.numGates(), 0);
+  std::vector<GateId> scan_cells;
+  for (const dft::ScanChain& chain : core.scan.chains) {
+    driven[chain.si_port.v] = 1;
+    scan_cells.insert(scan_cells.end(), chain.cells.begin(),
+                      chain.cells.end());
+  }
+  driven[core.scan.se_port.v] = 1;
+  const std::optional<GateId> tm_named = die.findGateByName("test_mode");
+  for (GateId pi : die.inputs()) {
+    if (driven[pi.v] != 0) continue;
+    held_.push_back(sim::HeldInput{
+        pi, pi == core.scan.test_mode_port || pi == tm_named});
+  }
+
+  // The scan cells are all the session observes (the SO reads). SE is
+  // high on every shift edge and low on every launch and capture edge.
+  const sim::PulseAnalysis analysis(sim_, held_, scan_cells);
+  const sim::HeldInput se_high{core.scan.se_port, true};
+  const sim::HeldInput se_low{core.scan.se_port, false};
+  std::vector<DomainId> all;
+  for (uint16_t d = 0; d < die.numDomains(); ++d) {
+    all.push_back(DomainId{d});
+    capture_programs_.push_back(
+        analysis.program({&all.back(), 1}, {&se_low, 1}));
+  }
+  shift_program_ = analysis.program(all, {&se_high, 1});
+}
+
+void BistSession::pulse(const sim::PulseProgram& program) {
+  sim_.pulse(program);
+  ++pulses_;
+  ops_evaluated_ += program.ops.size();
 }
 
 void BistSession::seedPrpgs() {
@@ -48,7 +86,7 @@ void BistSession::shiftCycle() {
       sim_.setInput(chain.si_port, slice_[i][c] != 0 ? ~uint64_t{0} : 0);
     }
   }
-  sim_.pulseAll();
+  pulse(shift_program_);
 }
 
 SessionResult BistSession::run(const SessionOptions& opts,
@@ -59,13 +97,12 @@ SessionResult BistSession::run(const SessionOptions& opts,
   // shift window; starting from zero keeps the golden run reproducible).
   sim_.resetState(0);
   for (GateId pi : die_->inputs()) sim_.setInput(pi, 0);
-  if (core_->scan.test_mode_port.valid()) {
-    sim_.setInput(core_->scan.test_mode_port, ~uint64_t{0});
-  }
-  if (auto tm = die_->findGateByName("test_mode")) {
-    sim_.setInput(*tm, ~uint64_t{0});
+  for (const sim::HeldInput& h : held_) {
+    if (h.high) sim_.setInput(h.gate, ~uint64_t{0});
   }
   seedPrpgs();
+  pulses_ = 0;
+  ops_evaluated_ = 0;
 
   bist::BistController ctrl;
   ctrl.setSignatureInterval(opts.signature_interval);
@@ -98,7 +135,7 @@ SessionResult BistSession::run(const SessionOptions& opts,
         break;
       case bist::ScheduleEvent::Kind::kLaunchPulse:
       case bist::ScheduleEvent::Kind::kCapturePulse:
-        sim_.pulse(ev->domain);
+        pulse(capture_programs_[ev->domain.v]);
         break;
       case bist::ScheduleEvent::Kind::kSeRise:
         sim_.setInput(core_->scan.se_port, ~uint64_t{0});
@@ -138,6 +175,8 @@ SessionResult BistSession::run(const SessionOptions& opts,
   ctrl.setSignatureMatch(match);
   res.finish = ctrl.finish();
   res.result_pass = ctrl.result();
+  OBS_COUNT("session.pulses", pulses_);
+  OBS_COUNT("session.ops_evaluated", ops_evaluated_);
   return res;
 }
 

@@ -19,6 +19,7 @@
 
 namespace lbist::core {
 
+/// Persistent shard-parallel worker pool (see the file comment).
 class ThreadPool {
  public:
   /// `threads` is the total parallelism including the caller; the pool

@@ -106,14 +106,13 @@ core::SessionOptions Diagnoser::sessionOptions() const {
   return o;
 }
 
-core::SessionResult Diagnoser::runSession(const Netlist& die,
-                                          const core::SessionOptions& o) {
-  core::BistSession session(*core_, die);
-  return session.run(o);
+core::BistSession& Diagnoser::goldenSession() {
+  if (!golden_session_) golden_session_.emplace(*core_, core_->netlist);
+  return *golden_session_;
 }
 
 const core::SessionResult& Diagnoser::goldenRun() {
-  if (!golden_) golden_ = runSession(core_->netlist, sessionOptions());
+  if (!golden_) golden_ = goldenSession().run(sessionOptions());
   return *golden_;
 }
 
@@ -166,7 +165,7 @@ Syndrome Diagnoser::extractSyndrome(
   return s;
 }
 
-int64_t Diagnoser::binarySearchFirstFail(const Netlist& bad_die, int64_t lo,
+int64_t Diagnoser::binarySearchFirstFail(core::BistSession& bad, int64_t lo,
                                          int64_t hi, size_t& session_runs) {
   // fail(p): does truncating the session after pattern p already show a
   // signature mismatch? Monotone in p (MISR errors persist), so the
@@ -175,8 +174,8 @@ int64_t Diagnoser::binarySearchFirstFail(const Netlist& bad_die, int64_t lo,
   o.signature_interval = 0;
   auto fails = [&](int64_t p) {
     o.patterns = p + 1;
-    const core::SessionResult g = runSession(core_->netlist, o);
-    const core::SessionResult b = runSession(bad_die, o);
+    const core::SessionResult g = goldenSession().run(o);
+    const core::SessionResult b = bad.run(o);
     session_runs += 2;
     return g.signature_words != b.signature_words;
   };
@@ -343,7 +342,7 @@ void Diagnoser::confirmCandidates(const core::SessionResult& observed,
     } catch (const std::invalid_argument&) {
       continue;  // un-injectable site (e.g. X-source cone)
     }
-    const core::SessionResult replay = runSession(die, o);
+    const core::SessionResult replay = core::BistSession(*core_, die).run(o);
     ++out.session_runs;
     c.confirmed = replay.signature_words == observed.signature_words &&
                   replay.checkpoints == observed.checkpoints;
@@ -360,7 +359,8 @@ Diagnosis Diagnoser::diagnoseDie(const Netlist& bad_die) {
 
   const bool golden_cached = golden_.has_value();
   const core::SessionResult& golden = goldenRun();
-  const core::SessionResult failing = runSession(bad_die, sessionOptions());
+  core::BistSession bad(*core_, bad_die);
+  const core::SessionResult failing = bad.run(sessionOptions());
   d.session_runs = golden_cached ? 1 : 2;
 
   d.syndrome = extractSyndrome(golden, failing);
@@ -377,8 +377,8 @@ Diagnosis Diagnoser::diagnoseDie(const Netlist& bad_die) {
     // dirty window w (w >= 1) means pattern w-1 failed.
     core::SessionOptions o = sessionOptions();
     o.signature_interval = 1;
-    const core::SessionResult g1 = runSession(core_->netlist, o);
-    const core::SessionResult b1 = runSession(bad_die, o);
+    const core::SessionResult g1 = goldenSession().run(o);
+    const core::SessionResult b1 = bad.run(o);
     d.session_runs += 2;
     const Syndrome fine = extractSyndrome(g1, b1);
     for (size_t w = 1; w < fine.dirty_windows.size(); ++w) {
@@ -406,7 +406,7 @@ Diagnosis Diagnoser::diagnoseDie(const Netlist& bad_die) {
                        (static_cast<int64_t>(first_dirty) + 1) * interval - 2)
             : opts_.patterns - 1;
     d.syndrome.first_failing_pattern =
-        binarySearchFirstFail(bad_die, lo, hi, d.session_runs);
+        binarySearchFirstFail(bad, lo, hi, d.session_runs);
   }
 
   matchSyndrome(d.syndrome, d);

@@ -163,13 +163,14 @@ class Diagnoser {
 
  private:
   [[nodiscard]] core::SessionOptions sessionOptions() const;
-  [[nodiscard]] core::SessionResult runSession(const Netlist& die,
-                                               const core::SessionOptions& o);
+  /// The session bound to the reference netlist, built on first use and
+  /// reused by every golden run and probe.
+  core::BistSession& goldenSession();
   const core::SessionResult& goldenRun();
   [[nodiscard]] Syndrome extractSyndrome(
       const core::SessionResult& golden,
       const core::SessionResult& failing) const;
-  [[nodiscard]] int64_t binarySearchFirstFail(const Netlist& bad_die,
+  [[nodiscard]] int64_t binarySearchFirstFail(core::BistSession& bad,
                                               int64_t lo, int64_t hi,
                                               size_t& session_runs);
   void ensureDictionary();
@@ -183,6 +184,7 @@ class Diagnoser {
   fault::FaultList faults_;
   std::optional<ResponseDictionary> dict_;
   DictionaryBuildStats dict_stats_;
+  std::optional<core::BistSession> golden_session_;
   std::optional<core::SessionResult> golden_;
   // Per DomainBist, per gate: 1 if the gate's sequential backward cone
   // reaches that domain's MISR observation set (capture ordering lets

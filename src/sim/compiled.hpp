@@ -124,6 +124,21 @@ class CompiledNetlist {
     }
   }
 
+  /// Stride-W evaluation of the listed ops only, in the order given.
+  /// `ops` must be in stream order and every fanin an op reads must be a
+  /// source or an earlier listed op (a pulse program, sim/pulse_program);
+  /// gates of unlisted ops keep their words.
+  template <size_t W>
+  void evalOpsW(uint64_t* values, std::span<const uint32_t> ops) const {
+    for (uint32_t i : ops) {
+      const LaneWord<W> r =
+          evalOpT<LaneWord<W>>(i, [&](size_t, uint32_t g) {
+            return LaneWord<W>::load(values + size_t{g} * W);
+          });
+      r.store(values + size_t{op_gate_[i]} * W);
+    }
+  }
+
   /// Number of combinational ops in the stream.
   [[nodiscard]] size_t numOps() const { return op_code_.size(); }
   /// Number of gates in the snapshotted netlist (all kinds).

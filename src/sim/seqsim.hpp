@@ -7,6 +7,13 @@
 // edge timeline onto sequences of pulse() calls, which is what makes the
 // double-capture scheme and inter-domain capture staggering (paper
 // Fig. 2) cycle-accurate in simulation.
+//
+// A pulse can also run a pulse program (sim/pulse_program.hpp): only the
+// ops the pulsed live flip-flops' next states need are evaluated, which
+// leaves every live DFF exactly where a full pulse would. After a program
+// pulse only that program's gates (and the sources) are current; every
+// other gate keeps its word from an earlier evaluation until the next full
+// pulse or settle().
 #pragma once
 
 #include <cstdint>
@@ -14,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "sim/pulse_program.hpp"
 #include "sim/sim2v.hpp"
 #include "sim/sim3v.hpp"
 
@@ -45,20 +53,34 @@ class SeqSimulator {
   /// Single-domain convenience overload of pulse().
   void pulse(DomainId domain) { pulse({&domain, 1}); }
   /// One active edge for every domain (classic synchronous cycle).
-  void pulseAll();
+  void pulseAll() { pulse(all_domains_); }
+  /// One active edge that evaluates only `program`'s ops and loads only
+  /// its DFFs. The inputs must hold the program's held levels; the
+  /// program must come from a PulseAnalysis of this simulator's netlist.
+  /// Live DFFs end bit-identical to the matching full pulse.
+  void pulse(const PulseProgram& program);
 
   /// Evaluates combinational logic without clocking anything (to inspect
   /// steady-state values, e.g. PO reads between pulses).
   void settle() { sim_.eval(); }
 
-  /// Value word of any gate after the last pulse()/settle().
+  /// Value word of any gate as of the last evaluation: after a full
+  /// pulse() or settle() every gate is current; after a program pulse
+  /// only that program's gates and the sources are.
   [[nodiscard]] uint64_t value(GateId id) const { return sim_.value(id); }
   /// The bound netlist.
   [[nodiscard]] const Netlist& netlist() const { return sim_.netlist(); }
+  /// The compiled tables pulse programs index into.
+  [[nodiscard]] const CompiledNetlist& compiled() const {
+    return sim_.compiled();
+  }
 
  private:
+  void drawXSources();
+
   Simulator2v sim_;
   std::vector<std::vector<GateId>> dffs_by_domain_;
+  std::vector<DomainId> all_domains_;
   std::vector<uint64_t> next_;  // captured D values, one per pulsed DFF
   std::mt19937_64 xrng_;
   bool randomize_x_ = false;
@@ -88,7 +110,7 @@ class SeqSimulator3v {
   /// Single-domain convenience overload of pulse().
   void pulse(DomainId domain) { pulse({&domain, 1}); }
   /// One active edge for every domain (classic synchronous cycle).
-  void pulseAll();
+  void pulseAll() { pulse(all_domains_); }
   /// Evaluates combinational logic without clocking anything.
   void settle() { sim_.eval(); }
 
@@ -100,6 +122,7 @@ class SeqSimulator3v {
  private:
   Simulator3v sim_;
   std::vector<std::vector<GateId>> dffs_by_domain_;
+  std::vector<DomainId> all_domains_;
   std::vector<Word3v> next_;
 };
 

@@ -37,6 +37,22 @@ void Simulator2v::eval() {
   }
 }
 
+void Simulator2v::evalOps(std::span<const uint32_t> ops) {
+  switch (lane_words_) {
+    case 1:
+      compiled_.evalOpsW<1>(values_.data(), ops);
+      break;
+    case 4:
+      compiled_.evalOpsW<4>(values_.data(), ops);
+      break;
+    case 8:
+      compiled_.evalOpsW<8>(values_.data(), ops);
+      break;
+    default:
+      assert(false && "unsupported lane width");
+  }
+}
+
 uint64_t Simulator2v::evalGate(GateId id, size_t wi) const {
   const Gate& g = nl_->gate(id);
   const size_t w = lane_words_;

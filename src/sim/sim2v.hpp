@@ -66,6 +66,10 @@ class Simulator2v {
   /// on the compiled kernel, dispatched by lane width.
   void eval();
 
+  /// Evaluates only the listed compiled ops, in the order given (see
+  /// CompiledNetlist::evalOpsW); every other gate keeps its words.
+  void evalOps(std::span<const uint32_t> ops);
+
   /// Reference full pass over the Gate records (bit-identical to eval();
   /// kept for differential testing of the compiled kernel).
   void evalInterpreted();

@@ -17,8 +17,10 @@
 #include "dft/xbound.hpp"
 #include "fault/inject.hpp"
 #include "gen/ipcore.hpp"
+#include "gen/soc.hpp"
 #include "netlist/stats.hpp"
 #include "sim/sim2v.hpp"
+#include "soc/chip.hpp"
 
 namespace lbist::core {
 namespace {
@@ -148,6 +150,209 @@ TEST(Session, SingleCaptureModeRuns) {
   const SessionResult r = s.run(opts);
   EXPECT_TRUE(r.finish);
   EXPECT_EQ(r.capture_pulses, static_cast<uint64_t>(4 * 2 * 1));
+}
+
+/// One line per session run: the per-domain signature hex strings, then
+/// every checkpoint as "@patterns" followed by its MISR words in hex.
+std::string sessionFingerprint(const SessionResult& r) {
+  std::string s;
+  for (const std::string& sig : r.signatures) s += sig + " ";
+  char buf[24];
+  for (const SignatureCheckpoint& cp : r.checkpoints) {
+    s += "@" + std::to_string(cp.patterns_done);
+    for (const std::vector<uint64_t>& words : cp.domain_words) {
+      for (uint64_t w : words) {
+        std::snprintf(buf, sizeof(buf), ":%llx",
+                      static_cast<unsigned long long>(w));
+        s += buf;
+      }
+    }
+  }
+  return s;
+}
+
+/// The dies of the pinned-output test for one core: good, scan-mux select
+/// tied to 0, one X-bounding AND freed, and a seeded functional fault.
+std::vector<Netlist> pinnedDies(const BistReadyCore& ready, uint64_t seed) {
+  const Netlist& nl = ready.netlist;
+  std::vector<Netlist> dies(4, nl);
+  const std::vector<GateId>& chain = ready.scan.chains[0].cells;
+  const GateId mux = nl.gate(chain[chain.size() / 2]).fanins[0];
+  fault::injectStuckAt(
+      dies[1], fault::Fault{mux, 2, fault::FaultType::kStuckAt0});
+  fault::injectStuckAt(
+      dies[2], fault::Fault{ready.xbound.blocking_gates.back(), 1,
+                            fault::FaultType::kStuckAt1});
+  std::vector<GateId> functional;
+  nl.forEachGate([&](GateId id, const Gate& g) {
+    if (isCombinational(g.kind) && !nl.hasFlag(id, kFlagDftInserted)) {
+      functional.push_back(id);
+    }
+  });
+  fault::injectStuckAt(
+      dies[3], fault::Fault{functional[seed % functional.size()],
+                            fault::kOutputPin, fault::FaultType::kStuckAt1});
+  return dies;
+}
+
+// Session output pinned bit-for-bit: signatures and checkpoint words of a
+// small generated chip's cores, good and defective dies, with double
+// capture on and off and interval windows off and every 8 patterns. The
+// values were recorded from the reference full-evaluation session; any
+// faster session path must reproduce them exactly.
+TEST(Session, PinnedSignaturesAndCheckpoints) {
+  gen::SocSpec spec;
+  spec.name = "pinchip";
+  spec.seed = 31;
+  spec.num_cores = 3;
+  spec.min_comb_gates = 250;
+  spec.max_comb_gates = 500;
+  spec.min_ffs = 24;
+  spec.max_ffs = 40;
+  spec.max_domains = 2;
+  LbistConfig cfg;
+  cfg.test_points = 4;
+  cfg.tpi.warmup_patterns = 64;
+  cfg.tpi.guidance_patterns = 32;
+  soc::Chip chip("pinchip");
+  soc::appendGeneratedCores(chip, spec, cfg);
+
+  // Per core and die: double capture at interval 0 and 8, then single
+  // capture at interval 0 and 8.
+  const std::vector<std::string> expected = {
+      // core 0, good die
+      "000000000000e2e7 000000000007d8d0 ",
+      "000000000000e2e7 000000000007d8d0 @8:674c5:6f62d@16:45333:230e0",
+      "0000000000027e11 000000000004e2c3 ",
+      "0000000000027e11 000000000004e2c3 @8:39ed8:4f61@16:55b10:5b36e",
+      // core 0, scan-mux select stuck-at-0
+      "000000000002fb36 000000000001b5b8 ",
+      "000000000002fb36 000000000001b5b8 @8:5c490:4d64f@16:238bd:cdd2",
+      "0000000000041eef 00000000000250e3 ",
+      "0000000000041eef 00000000000250e3 @8:29fd4:575@16:1e3ad:55ca5",
+      // core 0, X-bounding AND freed
+      "000000000000e2e7 000000000007d8d0 ",
+      "000000000000e2e7 000000000007d8d0 @8:674c5:6f62d@16:45333:230e0",
+      "0000000000027e11 000000000004e2c3 ",
+      "0000000000027e11 000000000004e2c3 @8:39ed8:4f61@16:55b10:5b36e",
+      // core 0, functional stuck-at-1
+      "0000000000070c1b 0000000000012e1f ",
+      "0000000000070c1b 0000000000012e1f @8:19ad9:210c7@16:4895a:104fd",
+      "0000000000050974 0000000000027716 ",
+      "0000000000050974 0000000000027716 @8:64850:695b4@16:25d93:171bc",
+      // core 1, good die
+      "000000000000083c 000000000006a7cb ",
+      "000000000000083c 000000000006a7cb @8:3a200:6ad67@16:6cb94:33b23",
+      "0000000000027fed 0000000000036428 ",
+      "0000000000027fed 0000000000036428 @8:3d81:47b94@16:17456:41c20",
+      // core 1, scan-mux select stuck-at-0
+      "0000000000065ef3 0000000000024383 ",
+      "0000000000065ef3 0000000000024383 @8:b39a:4f319@16:2684e:43b69",
+      "000000000004f998 00000000000222a2 ",
+      "000000000004f998 00000000000222a2 @8:2f616:14160@16:7e1b5:7ad7d",
+      // core 1, X-bounding AND freed
+      "000000000003fbf9 000000000006a7cb ",
+      "000000000003fbf9 000000000006a7cb @8:3a200:6ad67@16:4461d:33b23",
+      "0000000000027fed 0000000000036428 ",
+      "0000000000027fed 0000000000036428 @8:3d81:47b94@16:17456:41c20",
+      // core 1, functional stuck-at-1
+      "0000000000072514 0000000000061d28 ",
+      "0000000000072514 0000000000061d28 @8:3a200:6ad67@16:4c438:18c9",
+      "000000000005f408 000000000001fe45 ",
+      "000000000005f408 000000000001fe45 @8:3d81:47b94@16:5c935:70307",
+      // core 2, good die
+      "0000000000025760 0000000000034aa5 ",
+      "0000000000025760 0000000000034aa5 @8:44311:794be@16:23e66:1fcbe",
+      "000000000002528c 00000000000535fc ",
+      "000000000002528c 00000000000535fc @8:541de:50eb8@16:67cf6:33c6e",
+      // core 2, scan-mux select stuck-at-0
+      "000000000005c809 000000000005febd ",
+      "000000000005c809 000000000005febd @8:387f3:4d369@16:29337:26055",
+      "00000000000302e9 0000000000010081 ",
+      "00000000000302e9 0000000000010081 @8:15b0a:37ded@16:d941:6bb6c",
+      // core 2, X-bounding AND freed
+      "0000000000025760 0000000000034aa5 ",
+      "0000000000025760 0000000000034aa5 @8:44311:794be@16:23e66:1fcbe",
+      "000000000002528c 00000000000535fc ",
+      "000000000002528c 00000000000535fc @8:541de:50eb8@16:67cf6:33c6e",
+      // core 2, functional stuck-at-1
+      "000000000003d0bf 00000000000177bf ",
+      "000000000003d0bf 00000000000177bf @8:542ac:3611b@16:4a019:fc6e",
+      "000000000001bb40 000000000001e58f ",
+      "000000000001bb40 000000000001e58f @8:1eea7:5a531@16:1cef1:4f19d",
+  };
+  std::vector<std::string> actual;
+  for (size_t c = 0; c < chip.numCores(); ++c) {
+    const BistReadyCore& ready = chip.core(c);
+    const std::vector<Netlist> dies = pinnedDies(ready, 1000 + c);
+    for (const Netlist& die : dies) {
+      for (bool double_capture : {true, false}) {
+        for (int64_t interval : {int64_t{0}, int64_t{8}}) {
+          SessionOptions opts;
+          opts.patterns = 20;
+          opts.signature_interval = interval;
+          bist::AtSpeedTimingConfig timing = ready.config.timing;
+          timing.double_capture = double_capture;
+          opts.timing_override = timing;
+          BistSession session(ready, die);
+          actual.push_back(sessionFingerprint(session.run(opts)));
+        }
+      }
+    }
+  }
+  std::string dump;
+  for (const std::string& a : actual) dump += "      \"" + a + "\",\n";
+  EXPECT_EQ(actual, expected) << "actual:\n" << dump;
+}
+
+// One session object run repeatedly, with the options changing between
+// runs, must match a fresh session every time: run() resets everything a
+// previous run touched (diagnosis reuses its golden session this way).
+TEST(Session, ReusedSessionMatchesFreshSession) {
+  const Netlist core = testCore(303);
+  const BistReadyCore ready = buildBistReadyCore(core, smallConfig());
+  Netlist bad = ready.netlist;
+  fault::injectStuckAt(
+      bad, fault::Fault{ready.xbound.blocking_gates.back(), 1,
+                        fault::FaultType::kStuckAt1});
+
+  std::vector<SessionOptions> runs(6);
+  runs[0].patterns = 12;
+  runs[1].patterns = 5;
+  runs[1].signature_interval = 2;
+  runs[2].patterns = 9;
+  runs[2].final_unload = false;
+  runs[3].patterns = 12;
+  runs[3].capture_order = {DomainId{1}, DomainId{0}};
+  bist::AtSpeedTimingConfig single = ready.config.timing;
+  single.double_capture = false;
+  runs[4].patterns = 7;
+  runs[4].signature_interval = 3;
+  runs[4].timing_override = single;
+  runs[5] = runs[0];
+
+  const Netlist* dies[] = {&ready.netlist, &bad};
+  for (const Netlist* die : dies) {
+    BistSession reused(ready, *die);
+    for (size_t i = 0; i < runs.size(); ++i) {
+      // Alternate with and without a golden reference, too.
+      BistSession golden_session(ready, ready.netlist);
+      const SessionResult golden = golden_session.run(runs[i]);
+      const SessionResult* ref = i % 2 == 0 ? &golden : nullptr;
+      const SessionResult a = reused.run(runs[i], ref);
+      const SessionResult b = BistSession(ready, *die).run(runs[i], ref);
+      SCOPED_TRACE("run " + std::to_string(i));
+      EXPECT_EQ(a.signatures, b.signatures);
+      EXPECT_EQ(a.signature_words, b.signature_words);
+      EXPECT_EQ(a.checkpoints, b.checkpoints);
+      EXPECT_EQ(a.patterns_done, b.patterns_done);
+      EXPECT_EQ(a.shift_pulses, b.shift_pulses);
+      EXPECT_EQ(a.capture_pulses, b.capture_pulses);
+      EXPECT_EQ(a.session_ps, b.session_ps);
+      EXPECT_EQ(a.finish, b.finish);
+      EXPECT_EQ(a.result_pass, b.result_pass);
+    }
+  }
 }
 
 TEST(Flow, RandomPhaseReachesReasonableCoverage) {

@@ -4,7 +4,11 @@
 #include <random>
 #include <sstream>
 
+#include "core/architect.hpp"
+#include "fault/inject.hpp"
+#include "gen/ipcore.hpp"
 #include "gen/refcircuits.hpp"
+#include "sim/pulse_program.hpp"
 #include "sim/seqsim.hpp"
 #include "sim/sim2v.hpp"
 #include "sim/sim3v.hpp"
@@ -208,6 +212,207 @@ TEST(SeqSim, PerDomainPulsesOnlyTouchThatDomain) {
   sim.pulse(DomainId{1});
   EXPECT_EQ(sim.state(*nl.findGateByName("smp1")) & 1, 1u);
   EXPECT_EQ(sim.state(*nl.findGateByName("smp0")) & 1, 0u);
+}
+
+// -- pulse programs ---------------------------------------------------------
+
+/// A small BIST-ready core: X-bounded X-sources and non-scan flops, IO
+/// wrappers, `domains` clock domains.
+core::BistReadyCore programTestCore(uint64_t seed = 4711, int domains = 2) {
+  gen::IpCoreSpec spec;
+  spec.seed = seed;
+  spec.target_comb_gates = 220;
+  spec.target_ffs = 20;
+  spec.num_inputs = 6;
+  spec.num_outputs = 5;
+  spec.num_domains = domains;
+  spec.num_xsources = 2;
+  spec.num_noscan_ffs = 2;
+  core::LbistConfig cfg;
+  cfg.num_chains = 3;
+  cfg.test_points = 3;
+  cfg.tpi.warmup_patterns = 64;
+  cfg.tpi.guidance_patterns = 32;
+  return core::buildBistReadyCore(gen::generateIpCore(spec), cfg);
+}
+
+/// The BIST session's run constants: every input but the SI ports and SE
+/// held, at 0, with test_mode at 1.
+std::vector<sim::HeldInput> sessionHeld(const core::BistReadyCore& ready,
+                                        const Netlist& die) {
+  std::vector<sim::HeldInput> held;
+  for (GateId pi : die.inputs()) {
+    bool driven = pi == ready.scan.se_port;
+    for (const dft::ScanChain& c : ready.scan.chains) {
+      driven |= pi == c.si_port;
+    }
+    if (!driven) held.push_back({pi, pi == ready.scan.test_mode_port});
+  }
+  return held;
+}
+
+/// Drives a full-pulse simulator and a program-pulse simulator through
+/// the same seeded interleaving of shift pulses (SE=1, all domains) and
+/// capture pulses (SE=0, one domain), with random initial states, random
+/// SI words and randomized X-sources, and compares every live DFF after
+/// every pulse. Returns the number of live DFFs.
+size_t expectProgramsMatchFullPulses(const core::BistReadyCore& ready,
+                                     const Netlist& die, uint64_t seed,
+                                     int pulses) {
+  sim::SeqSimulator full(die);
+  sim::SeqSimulator prog(die);
+  const std::vector<sim::HeldInput> held = sessionHeld(ready, die);
+  std::vector<GateId> scan_cells;
+  for (const dft::ScanChain& c : ready.scan.chains) {
+    scan_cells.insert(scan_cells.end(), c.cells.begin(), c.cells.end());
+  }
+  const sim::PulseAnalysis analysis(prog, held, scan_cells);
+  const sim::HeldInput se_high{ready.scan.se_port, true};
+  const sim::HeldInput se_low{ready.scan.se_port, false};
+  std::vector<DomainId> all;
+  std::vector<sim::PulseProgram> capture;
+  for (uint16_t d = 0; d < die.numDomains(); ++d) {
+    all.push_back(DomainId{d});
+    capture.push_back(analysis.program({&all.back(), 1}, {&se_low, 1}));
+  }
+  const sim::PulseProgram shift = analysis.program(all, {&se_high, 1});
+
+  std::mt19937_64 rng(seed);
+  for (GateId pi : die.inputs()) {
+    full.setInput(pi, 0);
+    prog.setInput(pi, 0);
+  }
+  for (const sim::HeldInput& h : held) {
+    full.setInput(h.gate, h.high ? ~uint64_t{0} : 0);
+    prog.setInput(h.gate, h.high ? ~uint64_t{0} : 0);
+  }
+  for (GateId dff : die.dffs()) {
+    const uint64_t w = rng();
+    full.setState(dff, w);
+    prog.setState(dff, w);
+  }
+  full.randomizeXSources(seed);
+  prog.randomizeXSources(seed);
+
+  for (int t = 0; t < pulses; ++t) {
+    const bool shift_pulse = rng() % 3 != 0;
+    full.setInput(ready.scan.se_port, shift_pulse ? ~uint64_t{0} : 0);
+    prog.setInput(ready.scan.se_port, shift_pulse ? ~uint64_t{0} : 0);
+    for (const dft::ScanChain& c : ready.scan.chains) {
+      const uint64_t w = rng();
+      full.setInput(c.si_port, w);
+      prog.setInput(c.si_port, w);
+    }
+    if (shift_pulse) {
+      full.pulseAll();
+      prog.pulse(shift);
+    } else {
+      const DomainId d{static_cast<uint16_t>(rng() % all.size())};
+      full.pulse(d);
+      prog.pulse(capture[d.v]);
+    }
+    for (GateId dff : analysis.liveDffs()) {
+      if (full.state(dff) != prog.state(dff)) {
+        ADD_FAILURE() << "pulse " << t << (shift_pulse ? " (shift)" : "")
+                      << ": live DFF " << die.gateName(dff) << " differs";
+        return analysis.liveDffs().size();
+      }
+    }
+  }
+  return analysis.liveDffs().size();
+}
+
+TEST(PulseProgram, GoodDieShiftProgramIsTheScanPath) {
+  const core::BistReadyCore ready = programTestCore();
+  const Netlist& nl = ready.netlist;
+  sim::SeqSimulator s(nl);
+  std::vector<GateId> scan_cells;
+  for (const dft::ScanChain& c : ready.scan.chains) {
+    scan_cells.insert(scan_cells.end(), c.cells.begin(), c.cells.end());
+  }
+  const sim::PulseAnalysis analysis(s, sessionHeld(ready, nl), scan_cells);
+  // X-bounded non-scan flops are blocked by AND(q, !test_mode): dead.
+  EXPECT_EQ(analysis.liveDffs().size(), scan_cells.size());
+  for (GateId dff : analysis.liveDffs()) {
+    EXPECT_TRUE(nl.hasFlag(dff, kFlagScanCell));
+  }
+  std::vector<DomainId> all;
+  for (uint16_t d = 0; d < nl.numDomains(); ++d) all.push_back(DomainId{d});
+  const sim::HeldInput se_high{ready.scan.se_port, true};
+  const sim::PulseProgram shift = analysis.program(all, {&se_high, 1});
+  // SE=1: each scan cell loads its chain predecessor through its mux.
+  EXPECT_EQ(shift.ops.size(), scan_cells.size());
+  for (uint32_t op : shift.ops) {
+    EXPECT_TRUE(nl.hasFlag(GateId{s.compiled().opGate(op)}, kFlagScanMux));
+  }
+  EXPECT_EQ(shift.dffs.size(), scan_cells.size());
+  // Held inputs must be inputs, and never held twice.
+  const sim::HeldInput dup{ready.scan.test_mode_port, true};
+  EXPECT_THROW((void)analysis.program(all, {&dup, 1}), std::invalid_argument);
+  const sim::HeldInput not_input{scan_cells[0], true};
+  EXPECT_THROW((void)analysis.program(all, {&not_input, 1}),
+               std::invalid_argument);
+}
+
+/// The differential on `ready`'s good die and on one die per stuck-at of
+/// the DFT gates (see below) and of a seeded sample of functional gates.
+void expectProgramsMatchOnInjectedDies(const core::BistReadyCore& ready) {
+  const Netlist& nl = ready.netlist;
+  expectProgramsMatchFullPulses(ready, nl, 1, 200);
+
+  // Every stuck-at on every pin (and output) of the scan muxes, the
+  // X-bounding ANDs and their !test_mode inverter, and the IO-wrapper
+  // bypass muxes, plus a seeded sample of functional faults.
+  std::vector<fault::Fault> faults;
+  auto allPins = [&](GateId g) {
+    for (fault::FaultType t :
+         {fault::FaultType::kStuckAt0, fault::FaultType::kStuckAt1}) {
+      faults.push_back({g, fault::kOutputPin, t});
+      for (size_t pin = 0; pin < nl.gate(g).fanins.size(); ++pin) {
+        faults.push_back({g, static_cast<uint8_t>(pin), t});
+      }
+    }
+  };
+  std::vector<GateId> functional;
+  size_t scan_muxes = 0, bypass_muxes = 0;
+  nl.forEachGate([&](GateId id, const Gate& g) {
+    if (!isCombinational(g.kind)) return;
+    if (nl.hasFlag(id, kFlagScanMux)) {
+      allPins(id);
+      ++scan_muxes;
+    } else if (g.kind == CellKind::kMux2 && nl.hasFlag(id, kFlagDftInserted)) {
+      allPins(id);
+      ++bypass_muxes;
+    } else if (!nl.hasFlag(id, kFlagDftInserted)) {
+      functional.push_back(id);
+    }
+  });
+  ASSERT_GT(scan_muxes, 0u);
+  ASSERT_GT(bypass_muxes, 0u);
+  ASSERT_FALSE(ready.xbound.blocking_gates.empty());
+  for (GateId and_gate : ready.xbound.blocking_gates) allPins(and_gate);
+  allPins(nl.gate(ready.xbound.blocking_gates[0]).fanins[1]);  // !test_mode
+  std::mt19937_64 pick(99);
+  for (int i = 0; i < 60; ++i) {
+    allPins(functional[pick() % functional.size()]);
+  }
+
+  size_t widened = 0;
+  for (size_t i = 0; i < faults.size(); ++i) {
+    Netlist die = nl;
+    fault::injectStuckAt(die, faults[i]);
+    SCOPED_TRACE(faults[i].describe(nl));
+    const size_t live = expectProgramsMatchFullPulses(ready, die, 7 + i, 40);
+    if (live > ready.scan.scan_cells) ++widened;
+    if (::testing::Test::HasFailure()) return;
+  }
+  // Freed X-bounding ANDs must have made their non-scan flops live.
+  EXPECT_GT(widened, 0u);
+}
+
+TEST(PulseProgram, MatchesFullPulsesOnGoodAndInjectedDies) {
+  expectProgramsMatchOnInjectedDies(programTestCore());
+  expectProgramsMatchOnInjectedDies(programTestCore(1234, 3));
 }
 
 TEST(SeqSim3v, PowerOnXClearsAfterLoad) {
