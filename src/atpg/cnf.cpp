@@ -361,6 +361,7 @@ FaultMiter MiterEncoder::encodeFault(const fault::Fault& f,
       good[t][g] = encodeOp(cnf, *cn_, op, [&](size_t, uint32_t src) {
         return good[t][src];
       });
+      ++m.ops_encoded;
     }
   }
 
@@ -397,6 +398,7 @@ FaultMiter MiterEncoder::encodeFault(const fault::Fault& f,
             if (g == f.gate.v && slot == f.pin) return site_forced;
             return cone[t][src] != 0 ? faulty[t][src] : good[t][src];
           });
+      ++m.ops_encoded;
     }
   }
 

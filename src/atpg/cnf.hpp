@@ -136,6 +136,9 @@ struct FaultMiter {
   std::vector<StimulusVar> stimulus;
   bool trivially_untestable = false;
   bool direct = false;
+  /// Compiled ops Tseitin-encoded to build this miter (a work tally
+  /// for the atpg.sat.ops_encoded counter; no effect on the formula).
+  uint64_t ops_encoded = 0;
 };
 
 /// Builds FaultMiter formulas for one netlist. Construction snapshots

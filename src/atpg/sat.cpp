@@ -390,6 +390,7 @@ AtpgStatus SatEngine::solveMiter(const fault::Fault& f, int frames,
   MiterOptions mo;
   mo.frames = frames;
   const FaultMiter m = enc_.encodeFault(f, mo);
+  OBS_COUNT("atpg.sat.ops_encoded", m.ops_encoded);
   if (m.trivially_untestable || m.cnf.contradiction()) {
     OBS_COUNT("atpg.sat.redundant", 1);
     ++stats_.redundant;
