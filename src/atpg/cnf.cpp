@@ -5,13 +5,26 @@
 // of the stimulus it assigns — which is what lets test_sat replay SAT
 // cubes through the fault simulator and treat any mismatch as an
 // encoder bug rather than a heuristic gap.
+//
+// Stamping the template is exact: the needed set is fanin-closed, so a
+// stamped op folds the same constants and emits the same clauses as a
+// direct encoding, and renumbering in template order preserves variable
+// order, so every clause keeps its sorted literal order.
 #include "atpg/cnf.hpp"
 
 #include <algorithm>
 #include <cassert>
-#include <utility>
+
+#include "atpg/podem.hpp"
 
 namespace lbist::atpg {
+
+void CnfFormula::clear() {
+  num_vars_ = 0;
+  pool_.clear();
+  offsets_.assign(1, 0);
+  contradiction_ = false;
+}
 
 void CnfFormula::addClause(std::span<const CnfLit> lits) {
   if (contradiction_) return;
@@ -35,31 +48,35 @@ void CnfFormula::addClause(std::span<const CnfLit> lits) {
   offsets_.push_back(static_cast<uint32_t>(pool_.size()));
 }
 
+void CnfFormula::addRenamedClause(std::span<const CnfLit> lits,
+                                  std::span<const uint32_t> var_map) {
+  if (contradiction_) return;
+  for (CnfLit l : lits) pool_.push_back(posLit(var_map[litVar(l)]) | (l & 1u));
+  offsets_.push_back(static_cast<uint32_t>(pool_.size()));
+}
+
 namespace {
 
-// Dual rails of one net: `one` true means definitely 1, `zero` true
-// means definitely 0, neither true means X. The encoder maintains the
-// invariant that both rails are never simultaneously true (sources are
-// single-rail or constant; every gate function preserves it).
-struct Rails {
-  CnfLit one = kLitFalse;
-  CnfLit zero = kLitFalse;
-};
-
-Rails railsX() { return {kLitFalse, kLitFalse}; }
-
+template <typename Rails>
 Rails railsConst(bool v) {
   return v ? Rails{kLitTrue, kLitFalse} : Rails{kLitFalse, kLitTrue};
 }
 
 // 01X inversion is a rail swap — no clauses.
-Rails railsNot(Rails r) { return {r.zero, r.one}; }
+template <typename Rails>
+Rails railsNot(Rails r) {
+  return {r.zero, r.one};
+}
+
+}  // namespace
 
 // Defines y <-> AND(lits) with constant folding; returns the literal
 // standing for the conjunction (possibly a sentinel or an input).
-CnfLit defineAnd(CnfFormula& cnf, std::span<const CnfLit> lits) {
+CnfLit MiterEncoder::defineAnd(CnfFormula& cnf,
+                               std::span<const CnfLit> lits) {
   // Fold constants and duplicates first so trivial gates cost nothing.
-  std::vector<CnfLit> in;
+  std::vector<CnfLit>& in = and_in_;
+  in.clear();
   for (CnfLit l : lits) {
     if (l == kLitFalse) return kLitFalse;
     if (l == kLitTrue) continue;
@@ -73,46 +90,36 @@ CnfLit defineAnd(CnfFormula& cnf, std::span<const CnfLit> lits) {
   if (in.empty()) return kLitTrue;
   if (in.size() == 1) return in[0];
   const CnfLit y = posLit(cnf.newVar());
-  std::vector<CnfLit> big{y};
+  and_big_.assign(1, y);
   for (CnfLit l : in) {
     cnf.addClause({negateLit(y), l});
-    big.push_back(negateLit(l));
+    and_big_.push_back(negateLit(l));
   }
-  cnf.addClause(big);
+  cnf.addClause(and_big_);
   return y;
 }
 
 // Defines y <-> OR(lits) by De Morgan over defineAnd.
-CnfLit defineOr(CnfFormula& cnf, std::span<const CnfLit> lits) {
-  std::vector<CnfLit> neg(lits.size());
-  for (size_t i = 0; i < lits.size(); ++i) neg[i] = negateLit(lits[i]);
-  return negateLit(defineAnd(cnf, neg));
-}
-
-CnfLit defineAnd2(CnfFormula& cnf, CnfLit a, CnfLit b) {
-  const CnfLit lits[] = {a, b};
-  return defineAnd(cnf, lits);
-}
-
-CnfLit defineOr2(CnfFormula& cnf, CnfLit a, CnfLit b) {
-  const CnfLit lits[] = {a, b};
-  return defineOr(cnf, lits);
-}
-
-CnfLit defineOr3(CnfFormula& cnf, CnfLit a, CnfLit b, CnfLit c) {
-  const CnfLit lits[] = {a, b, c};
-  return defineOr(cnf, lits);
+CnfLit MiterEncoder::defineOr(CnfFormula& cnf,
+                              std::span<const CnfLit> lits) {
+  or_neg_.resize(lits.size());
+  for (size_t i = 0; i < lits.size(); ++i) or_neg_[i] = negateLit(lits[i]);
+  return negateLit(defineAnd(cnf, or_neg_));
 }
 
 // Rails of a XOR2 in the 01X tables: definite only when both inputs are
-// definite.
-Rails xorRails(CnfFormula& cnf, Rails a, Rails b) {
-  Rails r;
-  r.one = defineOr2(cnf, defineAnd2(cnf, a.one, b.zero),
-                    defineAnd2(cnf, a.zero, b.one));
-  r.zero = defineOr2(cnf, defineAnd2(cnf, a.one, b.one),
-                     defineAnd2(cnf, a.zero, b.zero));
-  return r;
+// definite. Terms are defined last-first, spelled out rather than left
+// to the compiler's argument evaluation order (numbering is pinned).
+MiterEncoder::Rails MiterEncoder::xorRails(CnfFormula& cnf, Rails a,
+                                           Rails b) {
+  // (p AND q) OR (r AND s), the second product defined first.
+  auto sumOfProducts = [&](CnfLit p, CnfLit q, CnfLit r, CnfLit s) {
+    const CnfLit second = defineAnd(cnf, {r, s});
+    const CnfLit first = defineAnd(cnf, {p, q});
+    return defineOr(cnf, {first, second});
+  };
+  return {sumOfProducts(a.one, b.zero, a.zero, b.one),
+          sumOfProducts(a.one, b.one, a.zero, b.zero)};
 }
 
 // Encodes the rail function of compiled op `op`, reading fanin rails
@@ -120,336 +127,261 @@ Rails xorRails(CnfFormula& cnf, Rails a, Rails b) {
 // evalOp3 branch, including controlling-value X-suppression (an AND
 // with one definite-0 input is definitely 0 whatever the others).
 template <typename RailFn>
-Rails encodeOp(CnfFormula& cnf, const sim::CompiledNetlist& cn, uint32_t op,
-               RailFn&& railOf) {
+MiterEncoder::Rails MiterEncoder::encodeOp(CnfFormula& cnf, uint32_t op,
+                                           RailFn&& railOf) {
   using sim::OpCode;
-  const std::span<const uint32_t> fan = cn.opFanins(op);
-  std::vector<Rails> in(fan.size());
-  std::vector<CnfLit> ones(fan.size());
-  std::vector<CnfLit> zeros(fan.size());
+  const std::span<const uint32_t> fan = cn_->opFanins(op);
+  op_ones_.resize(fan.size());
+  op_zeros_.resize(fan.size());
   for (size_t i = 0; i < fan.size(); ++i) {
-    in[i] = railOf(i, fan[i]);
-    ones[i] = in[i].one;
-    zeros[i] = in[i].zero;
+    const Rails r = railOf(i, fan[i]);
+    op_ones_[i] = r.one;
+    op_zeros_[i] = r.zero;
   }
-  switch (cn.opcode(op)) {
+  auto in = [&](size_t i) { return Rails{op_ones_[i], op_zeros_[i]}; };
+  switch (cn_->opcode(op)) {
     case OpCode::kBuf:
-      return in[0];
+      return in(0);
     case OpCode::kNot:
-      return railsNot(in[0]);
+      return railsNot(in(0));
     case OpCode::kAnd2:
     case OpCode::kAndN:
-      return {defineAnd(cnf, ones), defineOr(cnf, zeros)};
+      return {defineAnd(cnf, op_ones_), defineOr(cnf, op_zeros_)};
     case OpCode::kNand2:
     case OpCode::kNandN:
-      return {defineOr(cnf, zeros), defineAnd(cnf, ones)};
+      return {defineOr(cnf, op_zeros_), defineAnd(cnf, op_ones_)};
     case OpCode::kOr2:
     case OpCode::kOrN:
-      return {defineOr(cnf, ones), defineAnd(cnf, zeros)};
+      return {defineOr(cnf, op_ones_), defineAnd(cnf, op_zeros_)};
     case OpCode::kNor2:
     case OpCode::kNorN:
-      return {defineAnd(cnf, zeros), defineOr(cnf, ones)};
+      return {defineAnd(cnf, op_zeros_), defineOr(cnf, op_ones_)};
     case OpCode::kXor2:
-      return xorRails(cnf, in[0], in[1]);
+      return xorRails(cnf, in(0), in(1));
     case OpCode::kXnor2:
-      return railsNot(xorRails(cnf, in[0], in[1]));
+      return railsNot(xorRails(cnf, in(0), in(1)));
     case OpCode::kXorN:
     case OpCode::kXnorN: {
-      Rails acc = railsConst(false);
-      for (const Rails& r : in) acc = xorRails(cnf, acc, r);
-      return cn.opcode(op) == OpCode::kXnorN ? railsNot(acc) : acc;
+      Rails acc = railsConst<Rails>(false);
+      for (size_t i = 0; i < fan.size(); ++i) acc = xorRails(cnf, acc, in(i));
+      return cn_->opcode(op) == OpCode::kXnorN ? railsNot(acc) : acc;
     }
     case OpCode::kMux2: {
       // evalOp3: s==0 -> d0, s==1 -> d1, s==X -> d0 if d0==d1 else X.
       // The consensus term (d0 and d1 agree) covers the X-select case.
-      const Rails d0 = in[0];
-      const Rails d1 = in[1];
-      const Rails s = in[2];
-      Rails r;
-      r.one = defineOr3(cnf, defineAnd2(cnf, s.zero, d0.one),
-                        defineAnd2(cnf, s.one, d1.one),
-                        defineAnd2(cnf, d0.one, d1.one));
-      r.zero = defineOr3(cnf, defineAnd2(cnf, s.zero, d0.zero),
-                         defineAnd2(cnf, s.one, d1.zero),
-                         defineAnd2(cnf, d0.zero, d1.zero));
-      return r;
+      // Terms are defined last-first, as in xorRails.
+      const Rails s = in(2);
+      auto rail = [&](CnfLit d0, CnfLit d1) {  // one rail of each data pin
+        const CnfLit agree = defineAnd(cnf, {d0, d1});
+        const CnfLit sel1 = defineAnd(cnf, {s.one, d1});
+        const CnfLit sel0 = defineAnd(cnf, {s.zero, d0});
+        return defineOr(cnf, {sel0, sel1, agree});
+      };
+      return {rail(in(0).one, in(1).one), rail(in(0).zero, in(1).zero)};
     }
   }
   assert(false && "unknown opcode");
-  return railsX();
+  return Rails{};
 }
 
-}  // namespace
-
 MiterEncoder::MiterEncoder(const Netlist& nl, const sim::CompiledNetlist& cn,
-                           std::vector<GateId> observed,
-                           std::vector<GateId> assignable)
-    : nl_(&nl), cn_(&cn), observed_(std::move(observed)) {
-  is_observed_.assign(nl.numGates(), 0);
-  for (GateId g : observed_) is_observed_[g.v] = 1;
-  is_assignable_.assign(nl.numGates(), 0);
-  for (GateId g : assignable) is_assignable_[g.v] = 1;
-
-  // CSR of DFFs keyed by their D-driver gate: the cross-frame edges of
-  // cone growth and D-chain propagation.
-  dff_fanout_off_.assign(nl.numGates() + 1, 0);
-  for (GateId q : nl.dffs()) ++dff_fanout_off_[nl.gate(q).fanins[0].v + 1];
-  for (size_t i = 1; i < dff_fanout_off_.size(); ++i) {
-    dff_fanout_off_[i] += dff_fanout_off_[i - 1];
-  }
-  dff_fanout_.resize(nl.dffs().size());
-  std::vector<uint32_t> cursor(dff_fanout_off_.begin(),
-                               dff_fanout_off_.end() - 1);
-  for (GateId q : nl.dffs()) {
-    dff_fanout_[cursor[nl.gate(q).fanins[0].v]++] = q.v;
-  }
+                           const std::vector<GateId>& observed,
+                           const std::vector<GateId>& assignable)
+    : nl_(&nl),
+      cn_(&cn),
+      is_observed_(gateFlags(nl, observed, "MiterEncoder observed net")),
+      is_assignable_(
+          gateFlags(nl, assignable, "MiterEncoder assignable source")) {
+  const size_t n = nl.numGates();
+  fixed_.assign(n, kNotFixed);
+  in_cone_.assign(n, 0);
+  needed_.assign(n, 0);
+  faulty_.assign(n, Rails{});
+  dvar_.assign(n, 0);
 }
 
 void MiterEncoder::fixSource(GateId id, bool value) {
+  requireSource(*cn_, id, "MiterEncoder::fixSource");
   fixed_[id.v] = value ? 1 : 0;
   is_assignable_[id.v] = 0;
+  template_dirty_ = true;
 }
 
-FaultMiter MiterEncoder::encodeFault(const fault::Fault& f,
-                                     const MiterOptions& opts) const {
-  FaultMiter m;
-  const int frames = std::max(1, opts.frames);
+void MiterEncoder::rebuildTemplate() {
   const size_t n = nl_->numGates();
+  tmpl_.clear();
+  tmpl_rails_.assign(n, Rails{});
+  tmpl_sources_.clear();
+  // Sources in gate order, then ops in stream order.
+  for (uint32_t g = 0; g < n; ++g) {
+    if (cn_->opOf(GateId{g}) != sim::CompiledNetlist::kNoOp) continue;
+    const CellKind kind = nl_->gate(GateId{g}).kind;
+    if (fixed_[g] != kNotFixed) {
+      tmpl_rails_[g] = railsConst<Rails>(fixed_[g] != 0);
+    } else if (kind == CellKind::kConst0 || kind == CellKind::kConst1) {
+      tmpl_rails_[g] = railsConst<Rails>(kind == CellKind::kConst1);
+    } else if (is_assignable_[g] != 0) {
+      const uint32_t v = tmpl_.newVar();
+      tmpl_sources_.push_back(GateId{g});
+      tmpl_rails_[g] = {posLit(v), negLit(v)};
+    }
+    // Otherwise an unbound X source: both rails false.
+  }
+  const size_t ops = cn_->numOps();
+  op_var_off_.resize(ops + 1);
+  op_clause_off_.resize(ops + 1);
+  for (uint32_t op = 0; op < ops; ++op) {
+    op_var_off_[op] = static_cast<uint32_t>(tmpl_.numVars());
+    op_clause_off_[op] = static_cast<uint32_t>(tmpl_.numClauses());
+    tmpl_rails_[cn_->opGate(op)] = encodeOp(
+        tmpl_, op, [&](size_t, uint32_t src) { return tmpl_rails_[src]; });
+  }
+  op_var_off_[ops] = static_cast<uint32_t>(tmpl_.numVars());
+  op_clause_off_[ops] = static_cast<uint32_t>(tmpl_.numClauses());
+  var_map_.resize(tmpl_.numVars());
+  template_dirty_ = false;
+}
+
+MiterEncoder::Rails MiterEncoder::goodRails(uint32_t g) const {
+  auto renamed = [&](CnfLit l) {
+    if (l == kLitTrue || l == kLitFalse) return l;
+    return posLit(var_map_[litVar(l)]) | (l & 1u);
+  };
+  return {renamed(tmpl_rails_[g].one), renamed(tmpl_rails_[g].zero)};
+}
+
+void MiterEncoder::encodeFault(const fault::Fault& f, FaultMiter& out) {
+  if (template_dirty_) rebuildTemplate();
+  CnfFormula& cnf = out.cnf;
+  cnf.clear();
+  out.stimulus.clear();
+  out.trivially_untestable = false;
+  out.ops_encoded = 0;
   const Gate& site_gate = nl_->gate(f.gate);
   // Site polarity, exactly as the PODEM engines force it: only sa1
   // holds the site at 1; sa0 and the transition polarities hold it 0.
   const bool faulty_one = f.type == fault::FaultType::kStuckAt1;
-  m.direct =
+  out.direct =
       f.pin != fault::kOutputPin && site_gate.kind == CellKind::kDff;
-  if (m.direct && (site_gate.flags & kFlagScanCell) == 0) {
-    m.trivially_untestable = true;  // capture of a non-scan cell is blind
-    return m;
+  if (out.direct && (site_gate.flags & kFlagScanCell) == 0) {
+    out.trivially_untestable = true;  // capture of a non-scan cell is blind
+    return;
   }
-  CnfFormula& cnf = m.cnf;
 
-  // Per-frame fault output cone: comb closure from the site, re-seeded
-  // each later frame by the site (the defect is permanent) and by DFFs
-  // capturing a previous-frame cone driver.
-  std::vector<std::vector<uint8_t>> cone(frames);
-  std::vector<std::vector<uint32_t>> cone_list(frames);
-  if (!m.direct) {
-    for (int t = 0; t < frames; ++t) {
-      cone[t].assign(n, 0);
-      auto grow = [&](uint32_t seed) {
-        if (cone[t][seed] != 0) return;
-        cone[t][seed] = 1;
-        cone_list[t].push_back(seed);
-        size_t cursor = cone_list[t].size() - 1;
-        while (cursor < cone_list[t].size()) {
-          const uint32_t g = cone_list[t][cursor++];
-          for (const sim::CompiledNetlist::FanoutEntry& e :
-               cn_->combFanout(g)) {
-            if (cone[t][e.gate] != 0) continue;
-            cone[t][e.gate] = 1;
-            cone_list[t].push_back(e.gate);
-          }
-        }
-      };
-      grow(f.gate.v);
-      if (t > 0) {
-        for (uint32_t g : cone_list[t - 1]) {
-          for (uint32_t q = dff_fanout_off_[g]; q < dff_fanout_off_[g + 1];
-               ++q) {
-            grow(dff_fanout_[q]);
-          }
-        }
+  // Fault output cone: comb closure from the site, in BFS order.
+  for (uint32_t g : cone_list_) in_cone_[g] = 0;
+  cone_list_.clear();
+  if (!out.direct) {
+    in_cone_[f.gate.v] = 1;
+    cone_list_.push_back(f.gate.v);
+    for (size_t cursor = 0; cursor < cone_list_.size(); ++cursor) {
+      for (const sim::CompiledNetlist::FanoutEntry& e :
+           cn_->combFanout(cone_list_[cursor])) {
+        if (in_cone_[e.gate] != 0) continue;
+        in_cone_[e.gate] = 1;
+        cone_list_.push_back(e.gate);
       }
     }
-    // Detection happens at the final capture only; an empty observed
-    // last-frame cone is a structural redundancy proof (the same check
-    // the PODEM engines make at k = 1).
-    bool any_observed = false;
-    for (uint32_t g : cone_list[frames - 1]) {
-      if (is_observed_[g] != 0) {
-        any_observed = true;
-        break;
-      }
-    }
-    if (!any_observed) {
-      m.trivially_untestable = true;
-      return m;
+    // An empty observed cone is a structural redundancy proof (the same
+    // check the PODEM engines make).
+    if (std::none_of(cone_list_.begin(), cone_list_.end(),
+                     [&](uint32_t g) { return is_observed_[g] != 0; })) {
+      out.trivially_untestable = true;
+      return;
     }
   }
 
-  // Transitive good-machine support of everything the miter mentions:
-  // cone gates (their good rails feed the D variables), pulled down
-  // through comb fanins in-frame and DFF D-pins across frames.
-  std::vector<std::vector<uint8_t>> needed(frames);
-  for (int t = 0; t < frames; ++t) needed[t].assign(n, 0);
-  {
-    std::vector<std::pair<int, uint32_t>> work;
-    auto require = [&](int t, uint32_t g) {
-      if (needed[t][g] != 0) return;
-      needed[t][g] = 1;
-      work.emplace_back(t, g);
-    };
-    if (m.direct) {
-      require(frames - 1, site_gate.fanins[f.pin].v);
-    } else {
-      for (int t = 0; t < frames; ++t) {
-        for (uint32_t g : cone_list[t]) require(t, g);
-      }
+  // Good-machine support: the cone (its good rails feed the D
+  // variables) closed under comb fanins.
+  for (uint32_t g : needed_list_) needed_[g] = 0;
+  needed_list_.clear();
+  auto require = [&](uint32_t g) {
+    if (needed_[g] != 0) return;
+    needed_[g] = 1;
+    needed_list_.push_back(g);
+  };
+  if (out.direct) {
+    require(site_gate.fanins[f.pin].v);
+  } else {
+    for (uint32_t g : cone_list_) require(g);
+  }
+  for (size_t cursor = 0; cursor < needed_list_.size(); ++cursor) {
+    const uint32_t op = cn_->opOf(GateId{needed_list_[cursor]});
+    if (op == sim::CompiledNetlist::kNoOp) continue;
+    for (uint32_t src : cn_->opFanins(op)) require(src);
+  }
+
+  // Stamp the needed sources and ops, renumbered to the next variables.
+  for (uint32_t v = 0; v < tmpl_sources_.size(); ++v) {
+    if (needed_[tmpl_sources_[v].v] == 0) continue;
+    var_map_[v] = cnf.newVar();
+    out.stimulus.push_back({tmpl_sources_[v], var_map_[v]});
+  }
+  for (uint32_t op = 0; op < cn_->numOps(); ++op) {
+    if (needed_[cn_->opGate(op)] == 0) continue;
+    for (uint32_t v = op_var_off_[op]; v < op_var_off_[op + 1]; ++v) {
+      var_map_[v] = cnf.newVar();
     }
-    while (!work.empty()) {
-      const auto [t, g] = work.back();
-      work.pop_back();
-      const Gate& gt = nl_->gate(GateId{g});
-      if (gt.kind == CellKind::kDff) {
-        if (t > 0) require(t - 1, gt.fanins[0].v);
-        continue;
-      }
-      const uint32_t op = cn_->opOf(GateId{g});
-      if (op == sim::CompiledNetlist::kNoOp) continue;
-      for (uint32_t src : cn_->opFanins(op)) require(t, src);
+    for (uint32_t c = op_clause_off_[op]; c < op_clause_off_[op + 1]; ++c) {
+      cnf.addRenamedClause(tmpl_.clause(c), var_map_);
     }
   }
 
-  // Good-machine rails, frame by frame: sources first (a frame-t DFF
-  // reads its driver's frame t-1 rails, already complete), then the op
-  // stream in its topological order.
-  std::vector<std::vector<Rails>> good(frames);
-  for (int t = 0; t < frames; ++t) good[t].assign(n, Rails{});
-  for (int t = 0; t < frames; ++t) {
-    for (uint32_t g = 0; g < n; ++g) {
-      if (needed[t][g] == 0 ||
-          cn_->opOf(GateId{g}) != sim::CompiledNetlist::kNoOp) {
-        continue;
-      }
-      const auto it = fixed_.find(g);
-      if (it != fixed_.end()) {
-        good[t][g] = railsConst(it->second != 0);
-        continue;
-      }
-      const Gate& gt = nl_->gate(GateId{g});
-      switch (gt.kind) {
-        case CellKind::kConst0:
-          good[t][g] = railsConst(false);
-          break;
-        case CellKind::kConst1:
-          good[t][g] = railsConst(true);
-          break;
-        case CellKind::kDff:
-          if (t > 0) {
-            good[t][g] = good[t - 1][gt.fanins[0].v];
-          } else if (is_assignable_[g] != 0) {
-            const uint32_t v = cnf.newVar();
-            m.stimulus.push_back({GateId{g}, 0, v});
-            good[t][g] = {posLit(v), negLit(v)};
-          } else {
-            good[t][g] = railsX();  // unloaded non-scan state
-          }
-          break;
-        default:
-          if (is_assignable_[g] != 0) {
-            const uint32_t v = cnf.newVar();
-            m.stimulus.push_back({GateId{g}, t, v});
-            good[t][g] = {posLit(v), negLit(v)};
-          } else {
-            good[t][g] = railsX();  // unbound X source
-          }
-          break;
-      }
-    }
-    for (uint32_t op = 0; op < cn_->numOps(); ++op) {
-      const uint32_t g = cn_->opGate(op);
-      if (needed[t][g] == 0) continue;
-      good[t][g] = encodeOp(cnf, *cn_, op, [&](size_t, uint32_t src) {
-        return good[t][src];
-      });
-      ++m.ops_encoded;
-    }
-  }
-
-  if (m.direct) {
+  if (out.direct) {
     // Justification-only: the capture itself observes the D pin, so the
     // miter is the good machine plus a unit clause holding the driver
-    // at the activation value in the load frame.
-    const Rails r = good[frames - 1][site_gate.fanins[f.pin].v];
+    // at the activation value.
+    const Rails r = goodRails(site_gate.fanins[f.pin].v);
     cnf.addClause({faulty_one ? r.zero : r.one});
-    return m;
+    return;
   }
 
   // Faulty-machine rails for cone gates; everything outside the cone
   // aliases the good machine.
-  const Rails site_forced = railsConst(faulty_one);
-  std::vector<std::vector<Rails>> faulty(frames);
-  for (int t = 0; t < frames; ++t) faulty[t].assign(n, Rails{});
-  for (int t = 0; t < frames; ++t) {
-    if (t > 0) {
-      for (uint32_t g : cone_list[t]) {
-        const Gate& gt = nl_->gate(GateId{g});
-        if (gt.kind == CellKind::kDff) {
-          faulty[t][g] = faulty[t - 1][gt.fanins[0].v];
-        }
-      }
-    }
-    if (f.pin == fault::kOutputPin) faulty[t][f.gate.v] = site_forced;
-    for (uint32_t op = 0; op < cn_->numOps(); ++op) {
-      const uint32_t g = cn_->opGate(op);
-      if (cone[t][g] == 0) continue;
-      if (f.pin == fault::kOutputPin && g == f.gate.v) continue;
-      faulty[t][g] =
-          encodeOp(cnf, *cn_, op, [&](size_t slot, uint32_t src) {
-            if (g == f.gate.v && slot == f.pin) return site_forced;
-            return cone[t][src] != 0 ? faulty[t][src] : good[t][src];
-          });
-      ++m.ops_encoded;
-    }
+  const Rails site_forced = railsConst<Rails>(faulty_one);
+  for (uint32_t g : cone_list_) faulty_[g] = Rails{};
+  if (f.pin == fault::kOutputPin) faulty_[f.gate.v] = site_forced;
+  for (uint32_t op = 0; op < cn_->numOps(); ++op) {
+    const uint32_t g = cn_->opGate(op);
+    if (in_cone_[g] == 0) continue;
+    if (f.pin == fault::kOutputPin && g == f.gate.v) continue;
+    faulty_[g] = encodeOp(cnf, op, [&](size_t slot, uint32_t src) {
+      if (g == f.gate.v && slot == f.pin) return site_forced;
+      return in_cone_[src] != 0 ? faulty_[src] : goodRails(src);
+    });
+    ++out.ops_encoded;
   }
 
-  // D variables: d(g, t) asserts both machines definite and opposite on
-  // net g in frame t. Soundness needs only the d -> difference
-  // direction; the chain/seed/detection clauses below force a
-  // propagation path to exist, which is where the pruning comes from.
-  std::vector<std::vector<uint32_t>> dvar(frames);
-  for (int t = 0; t < frames; ++t) dvar[t].assign(n, 0);
-  for (int t = 0; t < frames; ++t) {
-    for (uint32_t g : cone_list[t]) dvar[t][g] = cnf.newVar();
-  }
-  for (int t = 0; t < frames; ++t) {
-    for (uint32_t g : cone_list[t]) {
-      const CnfLit d = posLit(dvar[t][g]);
-      const Rails& gd = good[t][g];
-      const Rails& fd = faulty[t][g];
-      cnf.addClause({negateLit(d), gd.one, gd.zero});
-      cnf.addClause({negateLit(d), fd.one, fd.zero});
-      cnf.addClause({negateLit(d), negateLit(gd.one), negateLit(fd.one)});
-      cnf.addClause({negateLit(d), negateLit(gd.zero), negateLit(fd.zero)});
-      // Chain: a difference anywhere but an observed final-frame net
-      // must reach a cone fanout, possibly through a DFF capture.
-      if (t == frames - 1 && is_observed_[g] != 0) continue;
-      std::vector<CnfLit> chain{negateLit(d)};
-      for (const sim::CompiledNetlist::FanoutEntry& e : cn_->combFanout(g)) {
-        if (cone[t][e.gate] != 0) chain.push_back(posLit(dvar[t][e.gate]));
-      }
-      if (t + 1 < frames) {
-        for (uint32_t q = dff_fanout_off_[g]; q < dff_fanout_off_[g + 1];
-             ++q) {
-          const uint32_t qd = dff_fanout_[q];
-          if (cone[t + 1][qd] != 0) {
-            chain.push_back(posLit(dvar[t + 1][qd]));
-          }
-        }
-      }
-      cnf.addClause(chain);
+  // D variables: d(g) asserts both machines definite and opposite on
+  // net g. Soundness needs only the d -> difference direction; the
+  // chain/seed/detection clauses below force a propagation path to
+  // exist, which is where the pruning comes from.
+  for (uint32_t g : cone_list_) dvar_[g] = cnf.newVar();
+  for (uint32_t g : cone_list_) {
+    const CnfLit d = posLit(dvar_[g]);
+    const Rails gd = goodRails(g);
+    const Rails& fd = faulty_[g];
+    cnf.addClause({negateLit(d), gd.one, gd.zero});
+    cnf.addClause({negateLit(d), fd.one, fd.zero});
+    cnf.addClause({negateLit(d), negateLit(gd.one), negateLit(fd.one)});
+    cnf.addClause({negateLit(d), negateLit(gd.zero), negateLit(fd.zero)});
+    // Chain: a difference anywhere but an observed net must reach a
+    // cone fanout.
+    if (is_observed_[g] != 0) continue;
+    clause_.assign(1, negateLit(d));
+    for (const sim::CompiledNetlist::FanoutEntry& e : cn_->combFanout(g)) {
+      if (in_cone_[e.gate] != 0) clause_.push_back(posLit(dvar_[e.gate]));
     }
+    cnf.addClause(clause_);
   }
-  // Activation seed (the site must differ in some frame) and detection
-  // (some observed final-frame net must differ).
-  std::vector<CnfLit> seed;
-  for (int t = 0; t < frames; ++t) seed.push_back(posLit(dvar[t][f.gate.v]));
-  cnf.addClause(seed);
-  std::vector<CnfLit> det;
-  for (uint32_t g : cone_list[frames - 1]) {
-    if (is_observed_[g] != 0) det.push_back(posLit(dvar[frames - 1][g]));
+  // Activation seed (the site must differ) and detection (some observed
+  // net must differ).
+  cnf.addClause({posLit(dvar_[f.gate.v])});
+  clause_.clear();
+  for (uint32_t g : cone_list_) {
+    if (is_observed_[g] != 0) clause_.push_back(posLit(dvar_[g]));
   }
-  cnf.addClause(det);
-  return m;
+  cnf.addClause(clause_);
 }
 
 }  // namespace lbist::atpg

@@ -15,27 +15,22 @@
 // fault cone, one faulty machine over the fault output cone only (nets
 // outside the cone share the good machine's rails), and difference (D)
 // variables with forward D-chain propagation clauses: the fault site
-// must differ in some timeframe, a difference on a non-observed net
-// must reach one of its cone fanouts, and some observed net of the
-// final timeframe must differ. The D-chain is equisatisfiable with the
-// plain "some observed net differs" miter — any detected difference
-// traces back to the site through definitely-differing nets, because a
-// gate whose fanins are all 01X-compatible between the machines cannot
-// produce definite opposite outputs — and prunes the search hard.
+// must differ, a difference on a non-observed net must reach one of its
+// cone fanouts, and some observed net must differ. The D-chain is
+// equisatisfiable with the plain "some observed net differs" miter —
+// any detected difference traces back to the site through
+// definitely-differing nets, because a gate whose fanins are all
+// 01X-compatible between the machines cannot produce definite opposite
+// outputs — and prunes the search hard.
 //
-// k-frame timeframe expansion unrolls the combinational core k times:
-// DFF outputs in frame t > 0 alias the previous frame's D-driver rails,
-// scan-cell outputs are assignable in frame 0 (scan load), primary
-// inputs are fresh variables in every frame, non-scan state is X in
-// frame 0, the stuck-at site is forced in every frame, and detection is
-// asserted on the final frame's observed set (scan capture). Frames = 1
-// reproduces the PODEM search space exactly.
+// The fault-free good machine is encoded once per encoder, as a
+// template over the whole netlist; each target stamps the ops it needs
+// and encodes only its faulty cone and D clauses.
 #pragma once
 
 #include <cstdint>
 #include <initializer_list>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -79,6 +74,9 @@ inline constexpr CnfLit kLitFalse = 0xffffffffu;
 /// offsets, so the solver loads it with two bulk copies.
 class CnfFormula {
  public:
+  /// Empties the formula, keeping its storage for the next one.
+  void clear();
+
   /// Allocates a fresh variable and returns its index.
   uint32_t newVar() { return num_vars_++; }
 
@@ -89,6 +87,12 @@ class CnfFormula {
   void addClause(std::initializer_list<CnfLit> lits) {
     addClause(std::span<const CnfLit>(lits.begin(), lits.size()));
   }
+
+  /// Adds a folded clause of another CnfFormula with each variable v
+  /// renamed to var_map[v]; an order-preserving map stores it exactly as
+  /// addClause would.
+  void addRenamedClause(std::span<const CnfLit> lits,
+                        std::span<const uint32_t> var_map);
 
   /// Number of variables allocated so far.
   [[nodiscard]] size_t numVars() const { return num_vars_; }
@@ -110,19 +114,10 @@ class CnfFormula {
   bool contradiction_ = false;
 };
 
-/// Timeframe-expansion depth for encodeFault (1 = pure combinational,
-/// the PODEM-equivalent search space).
-struct MiterOptions {
-  int frames = 1;
-};
-
 /// One free stimulus variable of an encoded miter: the model value of
-/// `var` is the value source `source` takes in timeframe `frame`.
-/// Scan-cell sources only appear with frame 0 (scan load); primary
-/// inputs appear once per frame.
+/// `var` is the value assignable source `source` is loaded with.
 struct StimulusVar {
   GateId source;
-  int frame = 0;
   uint32_t var = 0;
 };
 
@@ -136,44 +131,87 @@ struct FaultMiter {
   std::vector<StimulusVar> stimulus;
   bool trivially_untestable = false;
   bool direct = false;
-  /// Compiled ops Tseitin-encoded to build this miter (a work tally
-  /// for the atpg.sat.ops_encoded counter; no effect on the formula).
+  /// Ops Tseitin-encoded for this target (its faulty cone): the
+  /// atpg.sat.ops_encoded work tally; no effect on the formula.
   uint64_t ops_encoded = 0;
 };
 
-/// Builds FaultMiter formulas for one netlist. Construction snapshots
-/// the observed/assignable sets and the DFF D-driver map; encodeFault
-/// is const and allocation-free of shared state, so one encoder can be
-/// shared by any number of sequential encode calls on a shard.
+/// Builds FaultMiter formulas for one netlist. The encoder owns the
+/// good-machine template and all scratch, so one encoder serves one
+/// thread's encodeFault calls without allocating once warm.
 class MiterEncoder {
  public:
   /// `cn` must be the compiled form of `nl` and outlive the encoder.
   /// `observed` are the capture-visible nets (PO drivers plus scan
   /// D-drivers), `assignable` the controllable sources (PIs plus scan
-  /// cell outputs) — the same sets the PODEM engines take.
+  /// cell outputs) — the same sets the PODEM engines take. Throws
+  /// std::invalid_argument on a GateId outside `nl`.
   MiterEncoder(const Netlist& nl, const sim::CompiledNetlist& cn,
-               std::vector<GateId> observed, std::vector<GateId> assignable);
+               const std::vector<GateId>& observed,
+               const std::vector<GateId>& assignable);
 
-  /// Pins source `id` to `value` in every frame of every later encode
-  /// (test-mode constants); removes it from the assignable set.
+  /// Pins source `id` to `value` in every later encode (test-mode
+  /// constants). Throws std::invalid_argument unless `id` is a source.
   void fixSource(GateId id, bool value);
 
-  /// Encodes the dual-rail miter of `f` (see file comment). Stuck-at-1
-  /// forces the site to 1; every other polarity forces it to 0 — the
-  /// same site semantics the PODEM engines use.
-  [[nodiscard]] FaultMiter encodeFault(const fault::Fault& f,
-                                       const MiterOptions& opts = {}) const;
+  /// Encodes the dual-rail miter of `f` (see file comment) into `out`.
+  /// Stuck-at-1 forces the site to 1; every other polarity forces it to
+  /// 0 — the same site semantics the PODEM engines use.
+  void encodeFault(const fault::Fault& f, FaultMiter& out);
 
  private:
+  // Dual rails of one net: definitely 1, definitely 0, neither = X.
+  struct Rails {
+    CnfLit one = kLitFalse;
+    CnfLit zero = kLitFalse;
+  };
+
+  static constexpr uint8_t kNotFixed = 2;
+
+  void rebuildTemplate();
+  [[nodiscard]] Rails goodRails(uint32_t g) const;
+  template <typename RailFn>
+  Rails encodeOp(CnfFormula& cnf, uint32_t op, RailFn&& railOf);
+  CnfLit defineAnd(CnfFormula& cnf, std::span<const CnfLit> lits);
+  CnfLit defineOr(CnfFormula& cnf, std::span<const CnfLit> lits);
+  CnfLit defineAnd(CnfFormula& cnf, std::initializer_list<CnfLit> lits) {
+    return defineAnd(cnf, std::span<const CnfLit>(lits.begin(), lits.size()));
+  }
+  CnfLit defineOr(CnfFormula& cnf, std::initializer_list<CnfLit> lits) {
+    return defineOr(cnf, std::span<const CnfLit>(lits.begin(), lits.size()));
+  }
+  Rails xorRails(CnfFormula& cnf, Rails a, Rails b);
+
   const Netlist* nl_;
   const sim::CompiledNetlist* cn_;
   std::vector<uint8_t> is_observed_;
   std::vector<uint8_t> is_assignable_;
-  std::vector<GateId> observed_;
-  // DFFs fed by each driver gate (CSR), for cross-frame D-chain edges.
-  std::vector<uint32_t> dff_fanout_off_;
-  std::vector<uint32_t> dff_fanout_;
-  std::unordered_map<uint32_t, uint8_t> fixed_;
+  std::vector<uint8_t> fixed_;  // per gate: 0, 1 or kNotFixed
+
+  // Good-machine template (rebuilt lazily after fixSource). Variable v
+  // < tmpl_sources_.size() binds tmpl_sources_[v]; op `op` owns the
+  // variables and clauses from op_var_off_/op_clause_off_[op] to [op+1].
+  bool template_dirty_ = true;
+  CnfFormula tmpl_;
+  std::vector<Rails> tmpl_rails_;  // per gate
+  std::vector<GateId> tmpl_sources_;
+  std::vector<uint32_t> op_var_off_;
+  std::vector<uint32_t> op_clause_off_;
+  std::vector<uint32_t> var_map_;  // template var -> this target's var
+
+  // Per-target and gate-encoding scratch.
+  std::vector<uint8_t> in_cone_;
+  std::vector<uint32_t> cone_list_;
+  std::vector<uint8_t> needed_;
+  std::vector<uint32_t> needed_list_;
+  std::vector<Rails> faulty_;
+  std::vector<uint32_t> dvar_;
+  std::vector<CnfLit> clause_;
+  std::vector<CnfLit> op_ones_;
+  std::vector<CnfLit> op_zeros_;
+  std::vector<CnfLit> and_in_;
+  std::vector<CnfLit> and_big_;
+  std::vector<CnfLit> or_neg_;
 };
 
 }  // namespace lbist::atpg

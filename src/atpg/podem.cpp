@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "obs/obs.hpp"
 
@@ -44,19 +46,44 @@ void TestCube::mergeFrom(const TestCube& other) {
   }
 }
 
-Podem::Podem(const Netlist& nl, std::vector<GateId> observed,
-             std::vector<GateId> assignable, AtpgOptions opts)
+namespace {
+
+[[noreturn]] void rejectGate(const char* what, GateId id, const char* why) {
+  throw std::invalid_argument(std::string(what) + ": gate " +
+                              std::to_string(id.v) + why);
+}
+
+}  // namespace
+
+std::vector<uint8_t> gateFlags(const Netlist& nl,
+                               const std::vector<GateId>& ids,
+                               const char* what) {
+  std::vector<uint8_t> flags(nl.numGates(), 0);
+  for (GateId id : ids) {
+    if (id.v >= nl.numGates()) rejectGate(what, id, " is outside the netlist");
+    flags[id.v] = 1;
+  }
+  return flags;
+}
+
+void requireSource(const sim::CompiledNetlist& cn, GateId id,
+                   const char* what) {
+  if (id.v >= cn.numGates()) rejectGate(what, id, " is outside the netlist");
+  if (cn.opOf(id) != sim::CompiledNetlist::kNoOp) {
+    rejectGate(what, id, " is not a source");
+  }
+}
+
+Podem::Podem(const Netlist& nl, const std::vector<GateId>& observed,
+             const std::vector<GateId>& assignable, AtpgOptions opts)
     : nl_(&nl),
       // CompiledNetlist copies everything it needs, so the Levelized
       // may be a temporary.
       cn_(nl, Levelized(nl)),
+      is_observed_(gateFlags(nl, observed, "Podem observed net")),
+      is_assignable_(gateFlags(nl, assignable, "Podem assignable source")),
       cop_(dft::computeCop(nl, observed)),
-      opts_(opts),
-      observed_(std::move(observed)) {
-  is_observed_.assign(nl.numGates(), 0);
-  for (GateId o : observed_) is_observed_[o.v] = 1;
-  is_assignable_.assign(nl.numGates(), 0);
-  for (GateId a : assignable) is_assignable_[a.v] = 1;
+      opts_(opts) {
   gval_.assign(nl.numGates(), kVX);
   fval_.assign(nl.numGates(), kVX);
   queued_stamp_.assign(nl.numGates(), 0);
@@ -83,6 +110,7 @@ void Podem::updateD(uint32_t g) {
 }
 
 void Podem::fixSource(GateId id, bool value) {
+  requireSource(cn_, id, "Podem::fixSource");
   fixed_.emplace_back(id, value ? 1 : 0);
   is_assignable_[id.v] = 0;
   baseline_dirty_ = true;

@@ -67,6 +67,17 @@ struct AtpgOptions {
   int restarts = 3;
 };
 
+/// Per-gate flags of `nl`, 1 at every id in `ids`. Throws
+/// std::invalid_argument naming `what` on an id outside `nl`.
+std::vector<uint8_t> gateFlags(const Netlist& nl,
+                               const std::vector<GateId>& ids,
+                               const char* what);
+
+/// Throws std::invalid_argument naming `what` unless `id` is a source of
+/// `cn` (a gate with no compiled op), the only kind fixSource can hold.
+void requireSource(const sim::CompiledNetlist& cn, GateId id,
+                   const char* what);
+
 /// Engine interface the top-up driver targets: one deterministic
 /// test-cube search per generate() call. Implementations must be
 /// deterministic in (construction arguments, fault) alone — independent
@@ -88,11 +99,14 @@ class Podem final : public PodemEngine {
  public:
   /// `observed`: nets the tester sees. `assignable`: sources ATPG may
   /// drive (scan-cell outputs and unwrapped PIs). Other sources are X
-  /// unless fixed.
-  Podem(const Netlist& nl, std::vector<GateId> observed,
-        std::vector<GateId> assignable, AtpgOptions opts = {});
+  /// unless fixed. Throws std::invalid_argument on a GateId outside
+  /// `nl`.
+  Podem(const Netlist& nl, const std::vector<GateId>& observed,
+        const std::vector<GateId>& assignable, AtpgOptions opts = {});
 
   /// Holds a source at a constant for every run (SE = 0, test_mode = 1).
+  /// Throws std::invalid_argument on a gate outside the netlist or one
+  /// that is not a source.
   void fixSource(GateId id, bool value) override;
 
   /// Generates a cube detecting `f`, or reports untestable/aborted.
@@ -159,12 +173,11 @@ class Podem final : public PodemEngine {
 
   const Netlist* nl_;
   sim::CompiledNetlist cn_;
-  dft::CopMetrics cop_;
-  AtpgOptions opts_;
-
-  std::vector<GateId> observed_;
+  // Built before cop_, which indexes by the observed ids they validate.
   std::vector<uint8_t> is_observed_;
   std::vector<uint8_t> is_assignable_;
+  dft::CopMetrics cop_;
+  AtpgOptions opts_;
   std::vector<std::pair<GateId, uint8_t>> fixed_;
 
   // Good-machine all-X baseline (constants + fixed sources swept once);

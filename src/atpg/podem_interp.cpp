@@ -28,19 +28,17 @@ uint8_t inv3(uint8_t v) { return v == 2 ? 2 : static_cast<uint8_t>(1 - v); }
 }  // namespace
 
 PodemInterpreted::PodemInterpreted(const Netlist& nl,
-                                   std::vector<GateId> observed,
-                                   std::vector<GateId> assignable,
+                                   const std::vector<GateId>& observed,
+                                   const std::vector<GateId>& assignable,
                                    AtpgOptions opts)
     : nl_(&nl),
       lev_(nl),
       fanout_(nl.buildFanoutMap()),
+      is_observed_(gateFlags(nl, observed, "PodemInterpreted observed net")),
+      is_assignable_(
+          gateFlags(nl, assignable, "PodemInterpreted assignable source")),
       cop_(dft::computeCop(nl, observed)),
-      opts_(opts),
-      observed_(std::move(observed)) {
-  is_observed_.assign(nl.numGates(), 0);
-  for (GateId o : observed_) is_observed_[o.v] = 1;
-  is_assignable_.assign(nl.numGates(), 0);
-  for (GateId a : assignable) is_assignable_[a.v] = 1;
+      opts_(opts) {
   gval_.assign(nl.numGates(), 2);
   fval_.assign(nl.numGates(), 2);
   queued_stamp_.assign(nl.numGates(), 0);

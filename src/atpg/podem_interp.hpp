@@ -28,9 +28,11 @@ class PodemInterpreted final : public PodemEngine {
  public:
   /// `observed`: nets the tester sees. `assignable`: sources ATPG may
   /// drive (scan-cell outputs and unwrapped PIs). Other sources are X
-  /// unless fixed.
-  PodemInterpreted(const Netlist& nl, std::vector<GateId> observed,
-                   std::vector<GateId> assignable, AtpgOptions opts = {});
+  /// unless fixed. Throws std::invalid_argument on a GateId outside
+  /// `nl`.
+  PodemInterpreted(const Netlist& nl, const std::vector<GateId>& observed,
+                   const std::vector<GateId>& assignable,
+                   AtpgOptions opts = {});
 
   /// Holds a source at a constant for every run (SE = 0, test_mode = 1).
   void fixSource(GateId id, bool value) override;
@@ -85,12 +87,11 @@ class PodemInterpreted final : public PodemEngine {
   const Netlist* nl_;
   Levelized lev_;
   Netlist::FanoutMap fanout_;
-  dft::CopMetrics cop_;
-  AtpgOptions opts_;
-
-  std::vector<GateId> observed_;
+  // Built before cop_, which indexes by the observed ids they validate.
   std::vector<uint8_t> is_observed_;
   std::vector<uint8_t> is_assignable_;
+  dft::CopMetrics cop_;
+  AtpgOptions opts_;
   std::vector<std::pair<GateId, uint8_t>> fixed_;
 
   std::vector<uint8_t> gval_;

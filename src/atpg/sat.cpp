@@ -43,46 +43,53 @@ bool CdclSolver::litFalse(CnfLit l) const {
   return assign_[litVar(l)] == (litSign(l) ? 1 : 0);
 }
 
-CdclSolver::CdclSolver(const CnfFormula& cnf) {
+void CdclSolver::load(const CnfFormula& cnf) {
   num_vars_ = static_cast<uint32_t>(cnf.numVars());
+  arena_.clear();
+  clauses_.clear();
+  for (std::vector<Watcher>& ws : watches_) ws.clear();
+  watches_.resize(std::max(watches_.size(), size_t{num_vars_} * 2));
   assign_.assign(num_vars_, 2);
   phase_.assign(num_vars_, 0);
   level_.assign(num_vars_, 0);
   reason_.assign(num_vars_, kNoClause);
+  trail_.clear();
+  trail_lim_.clear();
+  qhead_ = 0;
   activity_.assign(num_vars_, 0.0);
-  heap_pos_.assign(num_vars_, kNoPos);
+  var_inc_ = 1.0;
+  // With every activity equal, inserting variables 0..n-1 in order
+  // leaves each at its own index: the heap starts as the identity.
+  heap_.resize(num_vars_);
+  heap_pos_.resize(num_vars_);
+  for (uint32_t v = 0; v < num_vars_; ++v) heap_[v] = heap_pos_[v] = v;
   seen_.assign(num_vars_, 0);
-  watches_.assign(size_t{num_vars_} * 2, {});
-  for (uint32_t v = 0; v < num_vars_; ++v) heapInsert(v);
+  unsat_ = false;
+  stats_ = {};
   if (cnf.contradiction()) {
     unsat_ = true;
     return;
   }
   // Attach every clause before assigning anything, so the two-watch
   // invariant (no watched literal false below the current level) holds
-  // by construction; the pending units are enqueued afterwards and
-  // propagate through the watch machinery in solve().
-  std::vector<CnfLit> units;
-  std::vector<CnfLit> tmp;
+  // by construction; the units are enqueued afterwards, in clause
+  // order, and propagate through the watch machinery in solve().
   for (size_t i = 0; i < cnf.numClauses(); ++i) {
     const std::span<const CnfLit> c = cnf.clause(i);
-    if (c.size() == 1) {
-      units.push_back(c[0]);
-      continue;
-    }
-    tmp.assign(c.begin(), c.end());
-    (void)addClauseInternal(tmp, false);
+    if (c.size() >= 2) (void)addClauseInternal(c, false);
   }
-  for (CnfLit u : units) {
-    if (litFalse(u)) {
+  for (size_t i = 0; i < cnf.numClauses(); ++i) {
+    const std::span<const CnfLit> c = cnf.clause(i);
+    if (c.size() != 1) continue;
+    if (litFalse(c[0])) {
       unsat_ = true;
       return;
     }
-    if (!litTrue(u)) enqueue(u, kNoClause);
+    if (!litTrue(c[0])) enqueue(c[0], kNoClause);
   }
 }
 
-uint32_t CdclSolver::addClauseInternal(std::vector<CnfLit>& lits,
+uint32_t CdclSolver::addClauseInternal(std::span<const CnfLit> lits,
                                        bool learnt) {
   assert(lits.size() >= 2);
   const uint32_t cref = static_cast<uint32_t>(clauses_.size());
@@ -108,7 +115,6 @@ void CdclSolver::enqueue(CnfLit l, uint32_t reason) {
 uint32_t CdclSolver::propagate() {
   while (qhead_ < trail_.size()) {
     const CnfLit p = trail_[qhead_++];
-    ++stats_.propagations;
     const CnfLit not_p = negateLit(p);
     std::vector<Watcher>& ws = watches_[not_p];
     size_t i = 0;
@@ -299,7 +305,7 @@ SatResult CdclSolver::solve(uint64_t conflict_limit) {
   uint64_t restart_round = 0;
   uint64_t restart_budget = luby(restart_round) * kRestartUnit;
   uint64_t conflicts_this_round = 0;
-  std::vector<CnfLit> learnt;
+  std::vector<CnfLit>& learnt = learnt_;
   while (true) {
     const uint32_t confl = propagate();
     if (confl != kNoClause) {
@@ -325,7 +331,6 @@ SatResult CdclSolver::solve(uint64_t conflict_limit) {
         return SatResult::kUnknown;
       }
       if (conflicts_this_round >= restart_budget) {
-        ++stats_.restarts;
         ++restart_round;
         restart_budget = luby(restart_round) * kRestartUnit;
         conflicts_this_round = 0;
@@ -334,19 +339,17 @@ SatResult CdclSolver::solve(uint64_t conflict_limit) {
     } else {
       const uint32_t v = pickBranchVar();
       if (v == kNoPos) return SatResult::kSat;
-      ++stats_.decisions;
       trail_lim_.push_back(static_cast<uint32_t>(trail_.size()));
       enqueue(phase_[v] == 1 ? posLit(v) : negLit(v), kNoClause);
     }
   }
 }
 
-SatEngine::SatEngine(const Netlist& nl, std::vector<GateId> observed,
-                     std::vector<GateId> assignable, SatOptions opts)
+SatEngine::SatEngine(const Netlist& nl, const std::vector<GateId>& observed,
+                     const std::vector<GateId>& assignable, SatOptions opts)
     : nl_(&nl),
-      lev_(nl),
-      cn_(nl, lev_),
-      enc_(nl, cn_, std::move(observed), std::move(assignable)),
+      cn_(nl, Levelized(nl)),
+      enc_(nl, cn_, observed, assignable),
       opts_(opts) {}
 
 void SatEngine::fixSource(GateId id, bool value) {
@@ -354,19 +357,6 @@ void SatEngine::fixSource(GateId id, bool value) {
 }
 
 AtpgStatus SatEngine::generate(const fault::Fault& f, TestCube& out) {
-  SeqTest seq;
-  const AtpgStatus st = solveMiter(f, 1, seq);
-  if (st == AtpgStatus::kDetected) out = std::move(seq.frame_cubes[0]);
-  return st;
-}
-
-AtpgStatus SatEngine::generateSequential(const fault::Fault& f, int frames,
-                                         SeqTest& out) {
-  return solveMiter(f, frames, out);
-}
-
-AtpgStatus SatEngine::solveMiter(const fault::Fault& f, int frames,
-                                 SeqTest& out) {
   OBS_SPAN("atpg.sat.solve");
   OBS_COUNT("atpg.sat.solves", 1);
   ++stats_.solves;
@@ -387,31 +377,30 @@ AtpgStatus SatEngine::solveMiter(const fault::Fault& f, int frames,
     throw std::runtime_error("injected solver failure on target '" +
                              f.describe(*nl_) + "'");
   }
-  MiterOptions mo;
-  mo.frames = frames;
-  const FaultMiter m = enc_.encodeFault(f, mo);
+  enc_.encodeFault(f, miter_);
+  const FaultMiter& m = miter_;
   OBS_COUNT("atpg.sat.ops_encoded", m.ops_encoded);
   if (m.trivially_untestable || m.cnf.contradiction()) {
     OBS_COUNT("atpg.sat.redundant", 1);
     ++stats_.redundant;
     return AtpgStatus::kUntestable;
   }
-  CdclSolver solver(m.cnf);
-  const SatResult r = solver.solve(opts_.conflict_limit);
-  last_conflicts_ = solver.stats().conflicts;
-  stats_.conflicts += solver.stats().conflicts;
-  stats_.learned += solver.stats().learned;
+  solver_.load(m.cnf);
+  const SatResult r = solver_.solve(opts_.conflict_limit);
+  last_conflicts_ = solver_.stats().conflicts;
+  stats_.conflicts += solver_.stats().conflicts;
+  stats_.learned += solver_.stats().learned;
   stats_.arena_peak_bytes =
-      std::max<uint64_t>(stats_.arena_peak_bytes, solver.arenaBytes());
-  OBS_COUNT("atpg.sat.conflicts", solver.stats().conflicts);
-  OBS_COUNT("atpg.sat.learned", solver.stats().learned);
+      std::max<uint64_t>(stats_.arena_peak_bytes, solver_.arenaBytes());
+  OBS_COUNT("atpg.sat.conflicts", solver_.stats().conflicts);
+  OBS_COUNT("atpg.sat.learned", solver_.stats().learned);
   switch (r) {
     case SatResult::kSat: {
-      out.frame_cubes.assign(static_cast<size_t>(frames), TestCube{});
+      out.care_sources.clear();
+      out.care_values.clear();
       for (const StimulusVar& sv : m.stimulus) {
-        TestCube& cube = out.frame_cubes[static_cast<size_t>(sv.frame)];
-        cube.care_sources.push_back(sv.source);
-        cube.care_values.push_back(solver.modelValue(sv.var) ? 1 : 0);
+        out.care_sources.push_back(sv.source);
+        out.care_values.push_back(solver_.modelValue(sv.var) ? 1 : 0);
       }
       OBS_COUNT("atpg.sat.cubes", 1);
       ++stats_.cubes;

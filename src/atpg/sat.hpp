@@ -1,14 +1,14 @@
 // SAT-based ATPG: a self-contained CDCL solver plus a PodemEngine-
 // compatible wrapper over the dual-rail miter encoder (atpg/cnf.hpp).
 //
-// This is the hard-tail engine ROADMAP item 2 calls for: PODEM's
-// chronological backtracking enumerates exponentially on reconvergent
-// targets and aborts at its backtrack budget, while conflict-driven
-// clause learning refutes or solves the same miters in a handful of
-// conflicts. The top-up driver escalates PODEM-aborted targets here
-// (TopUpConfig::sat_escalate); an UNSAT answer is a proof that no
-// three-valued test exists and is promoted to the proved-redundant
-// fault status, never the soft "untestable under this budget" abort.
+// This is the hard-tail engine: PODEM's chronological backtracking
+// enumerates exponentially on reconvergent targets and aborts at its
+// backtrack budget, while conflict-driven clause learning refutes or
+// solves the same miters in a handful of conflicts. The top-up driver
+// escalates PODEM-aborted targets here (TopUpConfig::sat_escalate); an
+// UNSAT answer is a proof that no three-valued test exists and is
+// promoted to the proved-redundant fault status, never the soft
+// "untestable under this budget" abort.
 //
 // The solver is deliberately minimal but real: two-literal watches with
 // blockers, 1-UIP conflict analysis, VSIDS decision order, phase
@@ -17,9 +17,12 @@
 // every solve is a pure function of the formula and the conflict
 // budget. That purity is what lets the escalation path stay
 // bit-identical across top-up worker counts.
+// The engine reuses storage, never state: one encoder template and one
+// solver, reloaded in place for every target from a fresh-solver state.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "atpg/cnf.hpp"
@@ -38,24 +41,22 @@ enum class SatResult : uint8_t {
   kUnknown,  // conflict budget exhausted
 };
 
-/// Deterministic work tallies of one CdclSolver instance.
+/// Deterministic work tallies of one CdclSolver solve.
 struct SatStats {
   uint64_t conflicts = 0;
-  uint64_t decisions = 0;
-  uint64_t propagations = 0;
   uint64_t learned = 0;
-  uint64_t restarts = 0;
 };
 
-/// The CDCL solver described in the file comment. One instance solves
-/// one formula; construction loads the clauses, solve() runs the
-/// search. Deterministic by construction: identical formulas and
-/// budgets always produce identical verdicts, models, and stats.
+/// The CDCL solver described in the file comment. load() installs a
+/// formula, solve() runs the search. Deterministic by construction:
+/// identical formulas and budgets always produce identical verdicts,
+/// models, and stats, whatever the instance solved before.
 class CdclSolver {
  public:
-  /// Loads `cnf` (unit clauses propagate immediately; a top-level
-  /// conflict makes solve() return kUnsat without search).
-  explicit CdclSolver(const CnfFormula& cnf);
+  /// Replaces all solver state with `cnf`, keeping only capacity, so
+  /// solve() behaves exactly as on a fresh instance (a contradictory
+  /// formula returns kUnsat without search).
+  void load(const CnfFormula& cnf);
 
   /// Runs the search. `conflict_limit` bounds total conflicts before
   /// giving up with kUnknown (0 gives up immediately unless the formula
@@ -98,7 +99,7 @@ class CdclSolver {
   void heapUp(size_t i);
   void heapDown(size_t i);
   [[nodiscard]] bool heapLess(uint32_t a, uint32_t b) const;
-  uint32_t addClauseInternal(std::vector<CnfLit>& lits, bool learnt);
+  uint32_t addClauseInternal(std::span<const CnfLit> lits, bool learnt);
   [[nodiscard]] bool litTrue(CnfLit l) const;
   [[nodiscard]] bool litFalse(CnfLit l) const;
 
@@ -128,6 +129,7 @@ class CdclSolver {
   std::vector<uint32_t> heap_;      // binary max-heap of variables
   std::vector<uint32_t> heap_pos_;  // position in heap_, or npos
   std::vector<uint8_t> seen_;       // analyze() scratch
+  std::vector<CnfLit> learnt_;      // solve() scratch
 
   bool unsat_ = false;
   SatStats stats_;
@@ -140,9 +142,9 @@ struct SatOptions {
   uint64_t conflict_limit = 200'000;
 };
 
-/// Cumulative tallies across every generate()/generateSequential()
-/// call of one SatEngine (mirrored into the obs counters; exposed
-/// directly so the bench sweep reports them without enabling obs).
+/// Cumulative tallies across every generate() call of one SatEngine
+/// (mirrored into the obs counters; exposed directly so the bench sweep
+/// reports them without enabling obs).
 struct SatEngineStats {
   uint64_t solves = 0;
   uint64_t cubes = 0;
@@ -155,14 +157,7 @@ struct SatEngineStats {
   uint64_t arena_peak_bytes = 0;
 };
 
-/// A test for a sequential (k-frame) target: one cube per timeframe.
-/// frame_cubes[0] is the scan-load frame (scan cells plus that frame's
-/// PIs); later frames carry PI values only.
-struct SeqTest {
-  std::vector<TestCube> frame_cubes;
-};
-
-/// PodemEngine-compatible SAT ATPG. generate() builds the 1-frame
+/// PodemEngine-compatible SAT ATPG. generate() builds the single-frame
 /// miter — exactly the PODEM search space — so the top-up driver can
 /// swap or escalate engines without caring which one produced a cube.
 /// Unlike PODEM, kUntestable from this engine is always a completed
@@ -170,15 +165,18 @@ struct SeqTest {
 class SatEngine final : public PodemEngine {
  public:
   /// Same observability contract as the Podem constructor: `observed`
-  /// nets the tester sees, `assignable` sources ATPG may drive.
-  SatEngine(const Netlist& nl, std::vector<GateId> observed,
-            std::vector<GateId> assignable, SatOptions opts = {});
+  /// nets the tester sees, `assignable` sources ATPG may drive. Throws
+  /// std::invalid_argument on a GateId outside `nl`.
+  SatEngine(const Netlist& nl, const std::vector<GateId>& observed,
+            const std::vector<GateId>& assignable, SatOptions opts = {});
 
-  /// Holds a source at a constant for every subsequent run.
+  /// Holds a source at a constant for every subsequent run. Throws
+  /// std::invalid_argument on a gate outside the netlist or one that is
+  /// not a source.
   void fixSource(GateId id, bool value) override;
 
-  /// One-frame solve of `f`: kDetected with a frame-0 cube, kUntestable
-  /// with a redundancy proof, or kAborted past the conflict budget.
+  /// Solves `f`: kDetected with a cube, kUntestable with a redundancy
+  /// proof, or kAborted past the conflict budget.
   AtpgStatus generate(const fault::Fault& f, TestCube& out) override;
 
   /// Conflicts consumed by the last generate() call — the engine's
@@ -187,23 +185,17 @@ class SatEngine final : public PodemEngine {
     return static_cast<size_t>(last_conflicts_);
   }
 
-  /// k-frame solve for sequential/partial-scan targets unreachable in
-  /// one frame: unrolls `frames` timeframes and returns one cube per
-  /// frame on success.
-  AtpgStatus generateSequential(const fault::Fault& f, int frames,
-                                SeqTest& out);
-
   /// Cumulative per-engine tallies (see SatEngineStats).
   [[nodiscard]] const SatEngineStats& engineStats() const { return stats_; }
 
  private:
-  AtpgStatus solveMiter(const fault::Fault& f, int frames, SeqTest& out);
-
   const Netlist* nl_;
-  Levelized lev_;
   sim::CompiledNetlist cn_;
   MiterEncoder enc_;
   SatOptions opts_;
+  // Storage reused for every target; encode/load reset it.
+  FaultMiter miter_;
+  CdclSolver solver_;
   uint64_t last_conflicts_ = 0;
   SatEngineStats stats_;
 };

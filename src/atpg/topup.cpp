@@ -39,33 +39,33 @@ TopUpPattern fillCube(const TestCube& cube,
   return pat;
 }
 
+/// Constructs an `Engine` and holds the fixed sources on it.
+template <typename Engine, typename Options>
+std::unique_ptr<Engine> makeFixed(
+    const Netlist& nl, const std::vector<GateId>& observed,
+    const std::vector<GateId>& assignable, const Options& opts,
+    const std::vector<std::pair<GateId, bool>>& fixed_sources) {
+  auto engine = std::make_unique<Engine>(nl, observed, assignable, opts);
+  for (const auto& [id, v] : fixed_sources) engine->fixSource(id, v);
+  return engine;
+}
+
 std::unique_ptr<PodemEngine> makeEngine(
     const TopUpConfig& cfg, const Netlist& nl,
     const std::vector<GateId>& observed,
     const std::vector<GateId>& assignable,
     const std::vector<std::pair<GateId, bool>>& fixed_sources) {
-  std::unique_ptr<PodemEngine> engine;
-  if (cfg.engine == AtpgEngine::kInterpreted) {
-    engine = std::make_unique<PodemInterpreted>(nl, observed, assignable,
-                                                cfg.atpg);
-  } else if (cfg.engine == AtpgEngine::kSat) {
-    engine = std::make_unique<SatEngine>(nl, observed, assignable, cfg.sat);
-  } else {
-    engine = std::make_unique<Podem>(nl, observed, assignable, cfg.atpg);
+  switch (cfg.engine) {
+    case AtpgEngine::kInterpreted:
+      return makeFixed<PodemInterpreted>(nl, observed, assignable, cfg.atpg,
+                                         fixed_sources);
+    case AtpgEngine::kSat:
+      return makeFixed<SatEngine>(nl, observed, assignable, cfg.sat,
+                                  fixed_sources);
+    case AtpgEngine::kCompiled:
+      break;
   }
-  for (const auto& [id, v] : fixed_sources) engine->fixSource(id, v);
-  return engine;
-}
-
-std::unique_ptr<SatEngine> makeSatEngine(
-    const TopUpConfig& cfg, const Netlist& nl,
-    const std::vector<GateId>& observed,
-    const std::vector<GateId>& assignable,
-    const std::vector<std::pair<GateId, bool>>& fixed_sources) {
-  auto engine =
-      std::make_unique<SatEngine>(nl, observed, assignable, cfg.sat);
-  for (const auto& [id, v] : fixed_sources) engine->fixSource(id, v);
-  return engine;
+  return makeFixed<Podem>(nl, observed, assignable, cfg.atpg, fixed_sources);
 }
 
 /// DetectionObserver accumulating one detection-bit row per tracked
@@ -347,8 +347,8 @@ TopUpResult runTopUp(const Netlist& nl, fault::FaultList& faults,
         // summed in the serial merge, keeping the totals independent
         // of which shard ran the solve.
         if (sat_engines[shard] == nullptr) {
-          sat_engines[shard] =
-              makeSatEngine(cfg, nl, observed, assignable, fixed_sources);
+          sat_engines[shard] = makeFixed<SatEngine>(
+              nl, observed, assignable, cfg.sat, fixed_sources);
         }
         SatEngine& sat = *sat_engines[shard];
         escalated[k] = 1;

@@ -12,6 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "atpg/cnf.hpp"
+#include "atpg/podem.hpp"
+#include "atpg/sat.hpp"
 #include "atpg/topup.hpp"
 #include "core/architect.hpp"
 #include "core/flow.hpp"
@@ -20,9 +23,11 @@
 #include "gen/ipcore.hpp"
 #include "gen/refcircuits.hpp"
 #include "gen/soc.hpp"
+#include "netlist/levelize.hpp"
 #include "obs/obs.hpp"
 #include "robust/io.hpp"
 #include "robust/robust.hpp"
+#include "sim/compiled.hpp"
 #include "soc/campaign.hpp"
 #include "soc/chip.hpp"
 #include "soc/schedule.hpp"
@@ -1084,6 +1089,74 @@ TEST(InjectFsimBlock, TpiWarmupThrowUnwindsThenRerunConverges) {
   const dft::TpiResult rerun = dft::selectObservePointsFaultSim(nl, cfg);
   EXPECT_EQ(rerun.points, clean.points);
   EXPECT_EQ(rerun.predicted_new_detections, clean.predicted_new_detections);
+}
+
+// ------------------------------------------- malformed ATPG engine inputs
+
+TEST(AtpgInputs, OutOfRangeGatesAndNonSourceFixesThrow) {
+  // An out-of-range GateId used to index past the engines' per-gate
+  // tables, and fixing a gate that has logic was silently ignored (its
+  // op overwrote the constant). Every engine rejects both up front, and
+  // a rejected call leaves the engine usable.
+  Netlist nl = gen::buildC17();
+  std::vector<GateId> obs;
+  for (const OutputPort& po : nl.outputs()) obs.push_back(po.driver);
+  std::sort(obs.begin(), obs.end());
+  obs.erase(std::unique(obs.begin(), obs.end()), obs.end());
+  const std::vector<GateId> assignable(nl.inputs().begin(),
+                                       nl.inputs().end());
+  const GateId bogus{static_cast<uint32_t>(nl.numGates())};
+  const GateId logic = obs[0];  // a NAND output, not a source
+  std::vector<GateId> bad_obs = obs;
+  bad_obs.push_back(bogus);
+  std::vector<GateId> bad_asg = assignable;
+  bad_asg.push_back(bogus);
+  const Levelized lev(nl);
+  const sim::CompiledNetlist cn(nl, lev);
+
+  EXPECT_THROW({ atpg::Podem e(nl, bad_obs, assignable); },
+               std::invalid_argument);
+  EXPECT_THROW({ atpg::Podem e(nl, obs, bad_asg); }, std::invalid_argument);
+  EXPECT_THROW({ atpg::SatEngine e(nl, bad_obs, assignable); },
+               std::invalid_argument);
+  EXPECT_THROW({ atpg::SatEngine e(nl, obs, bad_asg); },
+               std::invalid_argument);
+  EXPECT_THROW({ atpg::MiterEncoder e(nl, cn, bad_obs, assignable); },
+               std::invalid_argument);
+  EXPECT_THROW({ atpg::MiterEncoder e(nl, cn, obs, bad_asg); },
+               std::invalid_argument);
+
+  atpg::Podem podem(nl, obs, assignable);
+  atpg::SatEngine sat(nl, obs, assignable);
+  for (atpg::PodemEngine* e : {static_cast<atpg::PodemEngine*>(&podem),
+                               static_cast<atpg::PodemEngine*>(&sat)}) {
+    EXPECT_THROW(e->fixSource(bogus, true), std::invalid_argument);
+    EXPECT_THROW(e->fixSource(logic, true), std::invalid_argument);
+    e->fixSource(assignable[0], true);  // a PI is a source
+  }
+  atpg::MiterEncoder enc(nl, cn, obs, assignable);
+  EXPECT_THROW(enc.fixSource(bogus, false), std::invalid_argument);
+  EXPECT_THROW(enc.fixSource(logic, false), std::invalid_argument);
+  enc.fixSource(assignable[0], true);
+
+  // The engines still agree after the rejected calls, with the one
+  // accepted fix in force.
+  const fault::FaultList fl = fault::FaultList::enumerateStuckAt(nl);
+  for (size_t i = 0; i < fl.size(); ++i) {
+    atpg::TestCube podem_cube;
+    atpg::TestCube sat_cube;
+    const atpg::AtpgStatus ps = podem.generate(fl.record(i).fault, podem_cube);
+    const atpg::AtpgStatus ss = sat.generate(fl.record(i).fault, sat_cube);
+    if (ps != atpg::AtpgStatus::kAborted) {
+      EXPECT_EQ(ps, ss) << fl.describe(nl, i);
+    }
+    for (GateId g : sat_cube.care_sources) EXPECT_NE(g, assignable[0]);
+    atpg::FaultMiter m;
+    enc.encodeFault(fl.record(i).fault, m);
+    for (const atpg::StimulusVar& sv : m.stimulus) {
+      EXPECT_NE(sv.source, assignable[0]);
+    }
+  }
 }
 
 // ------------------------------------------------- harness completeness
