@@ -189,9 +189,8 @@ MiterEncoder::MiterEncoder(const Netlist& nl, const sim::CompiledNetlist& cn,
                            const std::vector<GateId>& assignable)
     : nl_(&nl),
       cn_(&cn),
-      is_observed_(gateFlags(nl, observed, "MiterEncoder observed net")),
-      is_assignable_(
-          gateFlags(nl, assignable, "MiterEncoder assignable source")) {
+      is_observed_(gateFlags(nl, observed, "MiterEncoder observed")),
+      is_assignable_(gateFlags(nl, assignable, "MiterEncoder assignable")) {
   const size_t n = nl.numGates();
   fixed_.assign(n, kNotFixed);
   in_cone_.assign(n, 0);

@@ -80,8 +80,8 @@ Podem::Podem(const Netlist& nl, const std::vector<GateId>& observed,
       // CompiledNetlist copies everything it needs, so the Levelized
       // may be a temporary.
       cn_(nl, Levelized(nl)),
-      is_observed_(gateFlags(nl, observed, "Podem observed net")),
-      is_assignable_(gateFlags(nl, assignable, "Podem assignable source")),
+      is_observed_(gateFlags(nl, observed, "Podem observed")),
+      is_assignable_(gateFlags(nl, assignable, "Podem assignable")),
       cop_(dft::computeCop(nl, observed)),
       opts_(opts) {
   gval_.assign(nl.numGates(), kVX);

@@ -34,9 +34,8 @@ PodemInterpreted::PodemInterpreted(const Netlist& nl,
     : nl_(&nl),
       lev_(nl),
       fanout_(nl.buildFanoutMap()),
-      is_observed_(gateFlags(nl, observed, "PodemInterpreted observed net")),
-      is_assignable_(
-          gateFlags(nl, assignable, "PodemInterpreted assignable source")),
+      is_observed_(gateFlags(nl, observed, "PodemInterpreted observed")),
+      is_assignable_(gateFlags(nl, assignable, "PodemInterpreted assignable")),
       cop_(dft::computeCop(nl, observed)),
       opts_(opts) {
   gval_.assign(nl.numGates(), 2);

@@ -1094,10 +1094,10 @@ TEST(InjectFsimBlock, TpiWarmupThrowUnwindsThenRerunConverges) {
 // ------------------------------------------- malformed ATPG engine inputs
 
 TEST(AtpgInputs, OutOfRangeGatesAndNonSourceFixesThrow) {
-  // An out-of-range GateId used to index past the engines' per-gate
-  // tables, and fixing a gate that has logic was silently ignored (its
-  // op overwrote the constant). Every engine rejects both up front, and
-  // a rejected call leaves the engine usable.
+  // An out-of-range GateId would index past the engines' per-gate
+  // tables, and a fixed gate with logic would be overwritten by its op.
+  // Every engine rejects both up front, and a rejected call leaves the
+  // engine usable.
   Netlist nl = gen::buildC17();
   std::vector<GateId> obs;
   for (const OutputPort& po : nl.outputs()) obs.push_back(po.driver);
@@ -1114,16 +1114,15 @@ TEST(AtpgInputs, OutOfRangeGatesAndNonSourceFixesThrow) {
   const Levelized lev(nl);
   const sim::CompiledNetlist cn(nl, lev);
 
-  EXPECT_THROW({ atpg::Podem e(nl, bad_obs, assignable); },
+  EXPECT_THROW((void)atpg::Podem(nl, bad_obs, assignable),
                std::invalid_argument);
-  EXPECT_THROW({ atpg::Podem e(nl, obs, bad_asg); }, std::invalid_argument);
-  EXPECT_THROW({ atpg::SatEngine e(nl, bad_obs, assignable); },
+  EXPECT_THROW((void)atpg::Podem(nl, obs, bad_asg), std::invalid_argument);
+  EXPECT_THROW((void)atpg::SatEngine(nl, bad_obs, assignable),
                std::invalid_argument);
-  EXPECT_THROW({ atpg::SatEngine e(nl, obs, bad_asg); },
+  EXPECT_THROW((void)atpg::SatEngine(nl, obs, bad_asg), std::invalid_argument);
+  EXPECT_THROW((void)atpg::MiterEncoder(nl, cn, bad_obs, assignable),
                std::invalid_argument);
-  EXPECT_THROW({ atpg::MiterEncoder e(nl, cn, bad_obs, assignable); },
-               std::invalid_argument);
-  EXPECT_THROW({ atpg::MiterEncoder e(nl, cn, obs, bad_asg); },
+  EXPECT_THROW((void)atpg::MiterEncoder(nl, cn, obs, bad_asg),
                std::invalid_argument);
 
   atpg::Podem podem(nl, obs, assignable);
