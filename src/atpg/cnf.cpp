@@ -55,21 +55,6 @@ void CnfFormula::addRenamedClause(std::span<const CnfLit> lits,
   offsets_.push_back(static_cast<uint32_t>(pool_.size()));
 }
 
-namespace {
-
-template <typename Rails>
-Rails railsConst(bool v) {
-  return v ? Rails{kLitTrue, kLitFalse} : Rails{kLitFalse, kLitTrue};
-}
-
-// 01X inversion is a rail swap — no clauses.
-template <typename Rails>
-Rails railsNot(Rails r) {
-  return {r.zero, r.one};
-}
-
-}  // namespace
-
 // Defines y <-> AND(lits) with constant folding; returns the literal
 // standing for the conjunction (possibly a sentinel or an input).
 CnfLit MiterEncoder::defineAnd(CnfFormula& cnf,
@@ -162,7 +147,7 @@ MiterEncoder::Rails MiterEncoder::encodeOp(CnfFormula& cnf, uint32_t op,
       return railsNot(xorRails(cnf, in(0), in(1)));
     case OpCode::kXorN:
     case OpCode::kXnorN: {
-      Rails acc = railsConst<Rails>(false);
+      Rails acc = railsConst(false);
       for (size_t i = 0; i < fan.size(); ++i) acc = xorRails(cnf, acc, in(i));
       return cn_->opcode(op) == OpCode::kXnorN ? railsNot(acc) : acc;
     }
@@ -200,7 +185,7 @@ MiterEncoder::MiterEncoder(const Netlist& nl, const sim::CompiledNetlist& cn,
 }
 
 void MiterEncoder::fixSource(GateId id, bool value) {
-  requireSource(*cn_, id, "MiterEncoder::fixSource");
+  requireSource(*nl_, id, "MiterEncoder::fixSource");
   fixed_[id.v] = value ? 1 : 0;
   is_assignable_[id.v] = 0;
   template_dirty_ = true;
@@ -216,9 +201,9 @@ void MiterEncoder::rebuildTemplate() {
     if (cn_->opOf(GateId{g}) != sim::CompiledNetlist::kNoOp) continue;
     const CellKind kind = nl_->gate(GateId{g}).kind;
     if (fixed_[g] != kNotFixed) {
-      tmpl_rails_[g] = railsConst<Rails>(fixed_[g] != 0);
+      tmpl_rails_[g] = railsConst(fixed_[g] != 0);
     } else if (kind == CellKind::kConst0 || kind == CellKind::kConst1) {
-      tmpl_rails_[g] = railsConst<Rails>(kind == CellKind::kConst1);
+      tmpl_rails_[g] = railsConst(kind == CellKind::kConst1);
     } else if (is_assignable_[g] != 0) {
       const uint32_t v = tmpl_.newVar();
       tmpl_sources_.push_back(GateId{g});
@@ -337,7 +322,7 @@ void MiterEncoder::encodeFault(const fault::Fault& f, FaultMiter& out) {
 
   // Faulty-machine rails for cone gates; everything outside the cone
   // aliases the good machine.
-  const Rails site_forced = railsConst<Rails>(faulty_one);
+  const Rails site_forced = railsConst(faulty_one);
   for (uint32_t g : cone_list_) faulty_[g] = Rails{};
   if (f.pin == fault::kOutputPin) faulty_[f.gate.v] = site_forced;
   for (uint32_t op = 0; op < cn_->numOps(); ++op) {

@@ -165,6 +165,11 @@ class MiterEncoder {
     CnfLit one = kLitFalse;
     CnfLit zero = kLitFalse;
   };
+  static Rails railsConst(bool v) {
+    return v ? Rails{kLitTrue, kLitFalse} : Rails{kLitFalse, kLitTrue};
+  }
+  // 01X inversion is a rail swap — no clauses.
+  static Rails railsNot(Rails r) { return {r.zero, r.one}; }
 
   static constexpr uint8_t kNotFixed = 2;
 

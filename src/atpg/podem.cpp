@@ -66,10 +66,9 @@ std::vector<uint8_t> gateFlags(const Netlist& nl,
   return flags;
 }
 
-void requireSource(const sim::CompiledNetlist& cn, GateId id,
-                   const char* what) {
-  if (id.v >= cn.numGates()) rejectGate(what, id, " is outside the netlist");
-  if (cn.opOf(id) != sim::CompiledNetlist::kNoOp) {
+void requireSource(const Netlist& nl, GateId id, const char* what) {
+  if (id.v >= nl.numGates()) rejectGate(what, id, " is outside the netlist");
+  if (isCombinational(nl.gate(id).kind)) {
     rejectGate(what, id, " is not a source");
   }
 }
@@ -110,7 +109,7 @@ void Podem::updateD(uint32_t g) {
 }
 
 void Podem::fixSource(GateId id, bool value) {
-  requireSource(cn_, id, "Podem::fixSource");
+  requireSource(*nl_, id, "Podem::fixSource");
   fixed_.emplace_back(id, value ? 1 : 0);
   is_assignable_[id.v] = 0;
   baseline_dirty_ = true;

@@ -74,9 +74,9 @@ std::vector<uint8_t> gateFlags(const Netlist& nl,
                                const char* what);
 
 /// Throws std::invalid_argument naming `what` unless `id` is a source of
-/// `cn` (a gate with no compiled op), the only kind fixSource can hold.
-void requireSource(const sim::CompiledNetlist& cn, GateId id,
-                   const char* what);
+/// `nl` (a gate the combinational simulator does not evaluate), the only
+/// kind fixSource can hold.
+void requireSource(const Netlist& nl, GateId id, const char* what);
 
 /// Engine interface the top-up driver targets: one deterministic
 /// test-cube search per generate() call. Implementations must be

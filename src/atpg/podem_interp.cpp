@@ -45,6 +45,7 @@ PodemInterpreted::PodemInterpreted(const Netlist& nl,
 }
 
 void PodemInterpreted::fixSource(GateId id, bool value) {
+  requireSource(*nl_, id, "PodemInterpreted::fixSource");
   fixed_.emplace_back(id, value ? 1 : 0);
   is_assignable_[id.v] = 0;
 }

@@ -35,6 +35,8 @@ class PodemInterpreted final : public PodemEngine {
                    AtpgOptions opts = {});
 
   /// Holds a source at a constant for every run (SE = 0, test_mode = 1).
+  /// Throws std::invalid_argument on a gate outside the netlist or one
+  /// that is not a source.
   void fixSource(GateId id, bool value) override;
 
   /// Generates a cube detecting `f`, or reports untestable/aborted.

@@ -47,7 +47,15 @@ void CdclSolver::load(const CnfFormula& cnf) {
   num_vars_ = static_cast<uint32_t>(cnf.numVars());
   arena_.clear();
   clauses_.clear();
-  for (std::vector<Watcher>& ws : watches_) ws.clear();
+  // A literal names a different net in every formula, so watch capacity
+  // kept from earlier ones can far outgrow this one's need (77 MB after
+  // 333 solves on a 20K-gate core): past 4x its watchers, drop, regrow.
+  size_t held = 0;
+  for (std::vector<Watcher>& ws : watches_) {
+    held += ws.capacity();
+    ws.clear();
+  }
+  if (held > 4 * (2 * cnf.numClauses() + 1024)) watches_.clear();
   watches_.resize(std::max(watches_.size(), size_t{num_vars_} * 2));
   assign_.assign(num_vars_, 2);
   phase_.assign(num_vars_, 0);

@@ -55,7 +55,8 @@ class CdclSolver {
  public:
   /// Replaces all solver state with `cnf`, keeping only capacity, so
   /// solve() behaves exactly as on a fresh instance (a contradictory
-  /// formula returns kUnsat without search).
+  /// formula returns kUnsat without search). Watch-list capacity beyond
+  /// a few times what `cnf` needs is released.
   void load(const CnfFormula& cnf);
 
   /// Runs the search. `conflict_limit` bounds total conflicts before

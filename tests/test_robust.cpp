@@ -14,6 +14,7 @@
 
 #include "atpg/cnf.hpp"
 #include "atpg/podem.hpp"
+#include "atpg/podem_interp.hpp"
 #include "atpg/sat.hpp"
 #include "atpg/topup.hpp"
 #include "core/architect.hpp"
@@ -1117,6 +1118,10 @@ TEST(AtpgInputs, OutOfRangeGatesAndNonSourceFixesThrow) {
   EXPECT_THROW((void)atpg::Podem(nl, bad_obs, assignable),
                std::invalid_argument);
   EXPECT_THROW((void)atpg::Podem(nl, obs, bad_asg), std::invalid_argument);
+  EXPECT_THROW((void)atpg::PodemInterpreted(nl, bad_obs, assignable),
+               std::invalid_argument);
+  EXPECT_THROW((void)atpg::PodemInterpreted(nl, obs, bad_asg),
+               std::invalid_argument);
   EXPECT_THROW((void)atpg::SatEngine(nl, bad_obs, assignable),
                std::invalid_argument);
   EXPECT_THROW((void)atpg::SatEngine(nl, obs, bad_asg), std::invalid_argument);
@@ -1126,8 +1131,10 @@ TEST(AtpgInputs, OutOfRangeGatesAndNonSourceFixesThrow) {
                std::invalid_argument);
 
   atpg::Podem podem(nl, obs, assignable);
+  atpg::PodemInterpreted interp(nl, obs, assignable);
   atpg::SatEngine sat(nl, obs, assignable);
   for (atpg::PodemEngine* e : {static_cast<atpg::PodemEngine*>(&podem),
+                               static_cast<atpg::PodemEngine*>(&interp),
                                static_cast<atpg::PodemEngine*>(&sat)}) {
     EXPECT_THROW(e->fixSource(bogus, true), std::invalid_argument);
     EXPECT_THROW(e->fixSource(logic, true), std::invalid_argument);
@@ -1143,12 +1150,19 @@ TEST(AtpgInputs, OutOfRangeGatesAndNonSourceFixesThrow) {
   const fault::FaultList fl = fault::FaultList::enumerateStuckAt(nl);
   for (size_t i = 0; i < fl.size(); ++i) {
     atpg::TestCube podem_cube;
+    atpg::TestCube interp_cube;
     atpg::TestCube sat_cube;
     const atpg::AtpgStatus ps = podem.generate(fl.record(i).fault, podem_cube);
+    const atpg::AtpgStatus is =
+        interp.generate(fl.record(i).fault, interp_cube);
     const atpg::AtpgStatus ss = sat.generate(fl.record(i).fault, sat_cube);
     if (ps != atpg::AtpgStatus::kAborted) {
       EXPECT_EQ(ps, ss) << fl.describe(nl, i);
     }
+    if (is != atpg::AtpgStatus::kAborted) {
+      EXPECT_EQ(is, ss) << fl.describe(nl, i);
+    }
+    for (GateId g : interp_cube.care_sources) EXPECT_NE(g, assignable[0]);
     for (GateId g : sat_cube.care_sources) EXPECT_NE(g, assignable[0]);
     atpg::FaultMiter m;
     enc.encodeFault(fl.record(i).fault, m);
