@@ -3,8 +3,8 @@
 
 Usage (from the repository root):
 
-    python3 scripts/e2e_history.py [--label TEXT] [--history FILE] RESULT.json...
-    python3 scripts/e2e_history.py --check [--history FILE]
+    python3 scripts/e2e_history.py [--label TEXT] RESULT.json...
+    python3 scripts/e2e_history.py --check
     python3 scripts/e2e_history.py --self-test
 
 RESULT.json is a result file e2ebench/run.py wrote under
@@ -17,7 +17,7 @@ the end-to-end, per-layer and obs counter values, plus the optional
 A result that failed an output check ("correct": false) or carries no
 provenance is refused, and then nothing is appended: a history line must
 be trustworthy and comparable with the lines around it. --check
-validates every line of an existing history file the same way.
+validates every line of the history file the same way.
 """
 
 import argparse
@@ -27,7 +27,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_HISTORY = os.path.join(ROOT, "bench", "e2e_history.jsonl")
+HISTORY = os.path.join(ROOT, "bench", "e2e_history.jsonl")
 PROVENANCE_KEYS = ("effective_cpus", "worker_threads", "compiler",
                    "build_type", "git_sha", "source_digest", "machine")
 SECTIONS = ("end_to_end", "per_layer")
@@ -181,7 +181,6 @@ def main():
     ap.add_argument("results", nargs="*", help="run.py result JSON files")
     ap.add_argument("--label", default="",
                     help="tag stored with each record, e.g. parent/change")
-    ap.add_argument("--history", default=DEFAULT_HISTORY)
     ap.add_argument("--check", action="store_true",
                     help="validate the history file instead of appending")
     ap.add_argument("--self-test", action="store_true")
@@ -189,10 +188,10 @@ def main():
     if args.self_test:
         return self_test()
     if args.check:
-        return check(args.history)
+        return check(HISTORY)
     if not args.results:
         ap.error("give at least one result file (or --check / --self-test)")
-    return append(args.results, args.label, args.history)
+    return append(args.results, args.label, HISTORY)
 
 
 if __name__ == "__main__":
