@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/architect.hpp"
 #include "core/session.hpp"
 #include "diag/diagnoser.hpp"
+#include "diag/dictionary.hpp"
 #include "fault/inject.hpp"
+#include "gen/ipcore.hpp"
 #include "gen/refcircuits.hpp"
 
 namespace lbist::diag {
@@ -301,6 +305,57 @@ TEST(Session, IntervalCheckpointsAreRecorded) {
               static_cast<int64_t>(c + 1) * 8);
     ASSERT_EQ(r.checkpoints[c].domain_words.size(),
               ready.domain_bist.size());
+  }
+}
+
+/// FNV-1a over every row word of `dict`, rows in fault order.
+uint64_t rowDigest(const ResponseDictionary& dict) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (size_t fi = 0; fi < dict.faults(); ++fi) {
+    for (const uint64_t w : dict.row(fi)) {
+      for (int b = 0; b < 64; b += 8) {
+        h = (h ^ ((w >> b) & 0xffu)) * 0x100000001b3ull;
+      }
+    }
+  }
+  return h;
+}
+
+TEST(Dictionary, PinnedRowDigests) {
+  // Stuck-at rows come from the staged-capture engine, which carries
+  // fault effects from one capture pulse to the next. Its rows are
+  // pinned on a three-domain generated core, so a change to the engine's
+  // scheduling, sharding or cone pruning cannot move a row unseen. The
+  // 96-pattern build ends on a partial block. A deliberate change to
+  // what a row means re-pins these values and says why.
+  gen::IpCoreSpec spec;
+  spec.seed = 23;
+  spec.target_comb_gates = 600;
+  spec.target_ffs = 48;
+  spec.num_inputs = 10;
+  spec.num_outputs = 8;
+  spec.num_domains = 3;
+  spec.num_xsources = 0;
+  spec.num_noscan_ffs = 0;
+  spec.cross_domain_fraction = 0.15;
+  const core::BistReadyCore ready = makeCore(gen::generateIpCore(spec), 3);
+  ASSERT_EQ(ready.netlist.numDomains(), 3u);
+
+  const std::vector<std::pair<int64_t, uint64_t>> want = {
+      {64, 0x98007e832ac774c9ull},
+      {96, 0x170e832babbe442full},
+  };
+  for (const auto& [patterns, digest] : want) {
+    for (const uint32_t threads : {1u, 4u}) {
+      fault::FaultList faults =
+          fault::FaultList::enumerateStuckAt(ready.netlist);
+      const ResponseDictionary dict = buildResponseDictionary(
+          ready, faults, patterns, threads, /*transition=*/false,
+          /*stats=*/nullptr, /*min_faults_per_thread=*/1);
+      const uint64_t got = rowDigest(dict);
+      EXPECT_EQ(got, digest) << patterns << " patterns, " << threads
+                             << " threads: digest 0x" << std::hex << got;
+    }
   }
 }
 
