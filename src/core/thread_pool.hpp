@@ -4,8 +4,10 @@
 // indices [0, n_shards) to the workers and blocks until every shard has
 // finished. The calling thread participates as a worker, so a pool built
 // for N threads holds N-1 OS threads. Shards are claimed under the pool
-// mutex — shards are coarse (typically one per thread), so the lock is
-// cold and the claim path stays trivially race-free across generations.
+// mutex, so a caller with fine-grained work runs one shard per worker
+// and hands out its own work items inside fn (fault::FaultSimulator
+// claims fault chunks through an atomic cursor); the lock then stays
+// cold and the claim path trivially race-free across generations.
 #pragma once
 
 #include <condition_variable>

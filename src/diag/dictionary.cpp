@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <stdexcept>
+#include <string>
 
 #include "core/pattern_source.hpp"
 #include "fault/fsim.hpp"
@@ -10,10 +12,25 @@
 
 namespace lbist::diag {
 
+namespace {
+
+// A non-positive count would size each row at SIZE_MAX words (or zero
+// rows spanning nothing), so it is rejected before any arithmetic.
+int64_t checkedPatterns(int64_t n_patterns) {
+  if (n_patterns <= 0) {
+    throw std::invalid_argument("response dictionary needs n_patterns > 0, "
+                                "got " +
+                                std::to_string(n_patterns));
+  }
+  return n_patterns;
+}
+
+}  // namespace
+
 ResponseDictionary::ResponseDictionary(size_t n_faults, int64_t n_patterns)
     : n_faults_(n_faults),
-      n_patterns_(n_patterns),
-      words_per_fault_(static_cast<size_t>((n_patterns + 63) / 64)) {
+      n_patterns_(checkedPatterns(n_patterns)),
+      words_per_fault_(static_cast<size_t>((n_patterns_ + 63) / 64)) {
   bits_.assign(n_faults_ * words_per_fault_, 0);
 }
 
@@ -102,11 +119,11 @@ ResponseDictionary buildResponseDictionary(const core::BistReadyCore& core,
                                            DictionaryBuildStats* stats,
                                            uint32_t min_faults_per_thread,
                                            uint32_t lane_words) {
+  const auto t0 = std::chrono::steady_clock::now();
+  ResponseDictionary dict(faults.size(), n_patterns);  // validates
   OBS_SPAN("diag.dict_build");
   OBS_COUNT("diag.dict_builds", 1);
   OBS_COUNT("diag.dict_rows", faults.size());
-  const auto t0 = std::chrono::steady_clock::now();
-  ResponseDictionary dict(faults.size(), n_patterns);
   DictionaryRecorder recorder(dict);
   // The dictionary is the build's dominant allocation (BENCH_diag's
   // 1.3 MB at 7k gates); held for the whole build so the gauge peak

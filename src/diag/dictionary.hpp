@@ -24,7 +24,8 @@ namespace lbist::diag {
 /// 64 patterns per word) — the MATCH stage's lookup structure.
 class ResponseDictionary {
  public:
-  /// Allocates an all-zero n_faults x n_patterns bitmap.
+  /// Allocates an all-zero n_faults x n_patterns bitmap. Throws
+  /// std::invalid_argument when n_patterns <= 0.
   ResponseDictionary(size_t n_faults, int64_t n_patterns);
 
   /// Row count (one per fault in the diagnosed universe).
@@ -94,7 +95,8 @@ struct DictionaryBuildStats {
 /// bit-identical for every thread count AND every lane width (rows are
 /// full per-pattern bitmaps — block-boundary placement cannot show).
 /// Faults with no structural path to the MISR observation set are
-/// marked untestable in `faults` and left empty.
+/// marked untestable in `faults` and left empty. Throws
+/// std::invalid_argument when n_patterns <= 0, before touching `faults`.
 [[nodiscard]] ResponseDictionary buildResponseDictionary(
     const core::BistReadyCore& core, fault::FaultList& faults,
     int64_t n_patterns, uint32_t threads = 1, bool transition = false,

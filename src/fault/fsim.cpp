@@ -1,6 +1,7 @@
 #include "fault/fsim.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
@@ -47,7 +48,8 @@ std::vector<GateId> fullObservationSet(const Netlist& nl) {
 
 // Width-specific worker scratch: the fault-effect overlay cells. Value
 // and stamps share one cell so an overlay read touches one contiguous
-// spot regardless of W.
+// spot regardless of W. Staged capture's per-fault seed lists live here
+// too, so a chunk allocates nothing.
 template <size_t W>
 struct FaultSimulator::ScratchW final : FaultSimulator::ScratchBase {
   struct Cell {
@@ -56,6 +58,8 @@ struct FaultSimulator::ScratchW final : FaultSimulator::ScratchBase {
     uint32_t queued = 0;  // gate scheduled when == serial
   };
   std::vector<Cell> ov;
+  std::vector<SeedW<W>> seeds;
+  std::vector<SeedW<W>> held;  // corrupted captures, held to window end
 };
 
 FaultSimulator::FaultSimulator(const Netlist& nl, FaultList& faults,
@@ -201,7 +205,7 @@ template <size_t W>
 LaneWord<W> FaultSimulator::propagateSeedsW(
     ScratchW<W>& sc, std::span<const SeedW<W>> seeds,
     const uint64_t* good_vals, const std::vector<uint8_t>& observed,
-    const Fault* forced, bool record_touched,
+    const uint8_t* live, const Fault* forced, bool record_touched,
     const LaneWord<W>& early_exit_mask) const {
   using Cell = typename ScratchW<W>::Cell;
   const sim::CompiledNetlist& cn = *compiled_;
@@ -214,6 +218,7 @@ LaneWord<W> FaultSimulator::propagateSeedsW(
 
   auto schedule_fanouts = [&](uint32_t g) {
     for (const sim::CompiledNetlist::FanoutEntry& e : cn.combFanout(g)) {
+      if (live != nullptr && live[e.gate] == 0) continue;
       Cell& c = ov[e.gate];
       if (c.queued == serial) continue;
       c.queued = serial;
@@ -389,15 +394,28 @@ FaultSimulator::InjectResultW<W> FaultSimulator::injectTransitionW(
   return res;
 }
 
+size_t FaultSimulator::chunkCount(unsigned n_threads, size_t n) {
+  return std::min(n, n_threads <= 1 ? size_t{1}
+                                     : kChunksPerWorker * size_t{n_threads});
+}
+
 template <size_t W, typename Fn>
 void FaultSimulator::forShards(unsigned n_threads, size_t n, Fn&& fn) {
   if (n_threads <= 1) {
-    fn(0u, static_cast<ScratchW<W>&>(*scratch_[0]), size_t{0}, n);
+    fn(size_t{0}, static_cast<ScratchW<W>&>(*scratch_[0]), size_t{0}, n);
     return;
   }
-  pool_->run(n_threads, [&](unsigned shard) {
-    fn(shard, static_cast<ScratchW<W>&>(*scratch_[shard]),
-       n * shard / n_threads, n * (shard + 1) / n_threads);
+  const size_t n_chunks = chunkCount(n_threads, n);
+  // The pool's run() orders every claim and queue write before the
+  // caller's reduction, so the cursor needs no ordering of its own.
+  std::atomic<size_t> cursor{0};
+  pool_->run(n_threads, [&](unsigned worker) {
+    OBS_SPAN("fsim.worker");
+    ScratchW<W>& sc = static_cast<ScratchW<W>&>(*scratch_[worker]);
+    for (size_t c = cursor.fetch_add(1, std::memory_order_relaxed);
+         c < n_chunks; c = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      fn(c, sc, n * c / n_chunks, n * (c + 1) / n_chunks);
+    }
   });
 }
 
@@ -416,12 +434,12 @@ void FaultSimulator::computeObservabilityW(const Frame& fr,
   // detect block is precisely "a flip of this stem in lane l reaches the
   // observation set".
   forShards<W>(n_threads, stems_.size(),
-               [&](unsigned, ScratchW<W>& sc, size_t lo, size_t hi) {
+               [&](size_t, ScratchW<W>& sc, size_t lo, size_t hi) {
                  for (size_t i = lo; i < hi; ++i) {
                    const uint32_t s = stems_[i];
                    const SeedW<W> seed{GateId{s}, lane_mask};
                    propagateSeedsW<W>(sc, {&seed, 1}, good, is_observed_,
-                                      /*forced=*/nullptr,
+                                      /*live=*/nullptr, /*forced=*/nullptr,
                                       /*record_touched=*/false,
                                       /*early_exit_mask=*/lane_mask)
                        .store(obs_out_.data() + size_t{s} * W);
@@ -460,9 +478,10 @@ void FaultSimulator::simulateFaultsW(unsigned n_threads, bool use_cpt,
   const bool reach = reach_observer_ != nullptr;
 
   // Workers read the shared frames and fault records and write only
-  // their own scratch and hit queues: no shared mutable state, no
-  // atomics. Frames run inner, so a fault's cone stays hot in cache.
-  auto compute_range = [&](unsigned shard, ScratchW<W>& sc, size_t lo,
+  // their own scratch and their chunks' hit queues: no shared mutable
+  // state beyond the chunk cursor. Frames run inner, so a fault's cone
+  // stays hot in cache.
+  auto compute_range = [&](size_t chunk, ScratchW<W>& sc, size_t lo,
                            size_t hi) {
     uint64_t hit_rows = 0;
     uint64_t deferred_blocks = 0;
@@ -488,7 +507,7 @@ void FaultSimulator::simulateFaultsW(unsigned n_threads, bool use_cpt,
           // so the wheel may stop once all of them detect. Reach observers
           // need the complete cone; they disable the shortcut.
           detect |= propagateSeedsW<W>(sc, {&seed, 1}, fr.good, is_observed_,
-                                       /*forced=*/nullptr,
+                                       /*live=*/nullptr, /*forced=*/nullptr,
                                        /*record_touched=*/reach,
                                        reach ? LaneWord<W>{} : inj.diff);
           if (reach) {
@@ -497,7 +516,7 @@ void FaultSimulator::simulateFaultsW(unsigned n_threads, bool use_cpt,
         }
         if (!detect.any()) continue;
         ++hit_rows;
-        hits_[shard][b].push(static_cast<uint32_t>(ci), detect);
+        hits_[chunk][b].push(static_cast<uint32_t>(ci), detect);
         if (need != 0) {
           got += static_cast<uint32_t>(detect.popcount());
           // The sequential loop drops this class before the next block;
@@ -524,10 +543,10 @@ void FaultSimulator::simulateStagedW(
   const LaneWord<W> lane_mask =
       LaneWord<W>::firstLanes(static_cast<size_t>(frames_[0].lanes));
 
-  auto compute_range = [&](unsigned shard, ScratchW<W>& sc, size_t lo,
+  auto compute_range = [&](size_t chunk, ScratchW<W>& sc, size_t lo,
                            size_t hi) {
-    std::vector<SeedW<W>> seeds;
-    std::vector<SeedW<W>> held;  // corrupted captures, held to window end
+    std::vector<SeedW<W>>& seeds = sc.seeds;
+    std::vector<SeedW<W>>& held = sc.held;
     for (size_t ci = lo; ci < hi; ++ci) {
       const Fault& f = faults_->record(compute_faults_[ci]).fault;
       const Gate& g = nl_->gate(f.gate);
@@ -551,8 +570,10 @@ void FaultSimulator::simulateStagedW(
         const bool propagated = !seeds.empty();
         if (propagated) {
           // No early exit: the captured-diff collection below reads the
-          // overlay cells this propagation writes.
+          // overlay cells this propagation writes. The stage reads them
+          // only inside its cone, so the wheel never leaves it.
           detect |= propagateSeedsW<W>(sc, seeds, frame, stage_observed_[j],
+                                       stage_live_[j].data(),
                                        dff_pin ? nullptr : &f,
                                        /*record_touched=*/false,
                                        /*early_exit_mask=*/LaneWord<W>{}) &
@@ -587,7 +608,7 @@ void FaultSimulator::simulateStagedW(
           }
         }
       }
-      if (detect.any()) hits_[shard][0].push(static_cast<uint32_t>(ci), detect);
+      if (detect.any()) hits_[chunk][0].push(static_cast<uint32_t>(ci), detect);
     }
   };
   forShards<W>(n_threads, compute_faults_.size(), compute_range);
@@ -649,23 +670,24 @@ size_t FaultSimulator::simulateFrames(
     }
   }
 
-  // A single block queues at most one row per compute slot of a shard.
+  // A single block queues at most one row per compute slot of a chunk.
   // Reserving that here, on the calling thread, keeps dense stem-CPT
   // blocks from growing the queues inside the workers' malloc arenas,
   // where every outgrown buffer would stay resident. Batch queues stay
   // sparse (dense batches run block by block), so they grow on demand.
-  if (hits_.size() < n_threads) hits_.resize(n_threads);
-  for (unsigned t = 0; t < n_threads; ++t) {
-    if (hits_[t].size() < n_blocks) hits_[t].resize(n_blocks);
+  const size_t n_chunks = chunkCount(n_threads, n_compute);
+  if (hits_.size() < n_chunks) hits_.resize(n_chunks);
+  for (size_t c = 0; c < n_chunks; ++c) {
+    if (hits_[c].size() < n_blocks) hits_[c].resize(n_blocks);
     for (size_t b = 0; b < n_blocks; ++b) {
-      hits_[t][b].slots.clear();
-      hits_[t][b].rows.clear();
+      hits_[c][b].slots.clear();
+      hits_[c][b].rows.clear();
     }
     if (n_blocks == 1) {
-      const size_t shard =
-          n_compute * (t + 1) / n_threads - n_compute * t / n_threads;
-      hits_[t][0].slots.reserve(shard);
-      hits_[t][0].rows.reserve(shard * lane_words_);
+      const size_t len =
+          n_compute * (c + 1) / n_chunks - n_compute * c / n_chunks;
+      hits_[c][0].slots.reserve(len);
+      hits_[c][0].rows.reserve(len * lane_words_);
     }
   }
 
@@ -712,17 +734,17 @@ size_t FaultSimulator::simulateFrames(
       assert(false && "unsupported lane width");
       return 0;
   }
-  return reduceHits(pattern_base, n_blocks, n_threads);
+  return reduceHits(pattern_base, n_blocks, n_chunks);
 }
 
 size_t FaultSimulator::reduceHits(int64_t pattern_base, size_t n_blocks,
-                                  unsigned n_threads) {
+                                  size_t n_chunks) {
   // One serial pass per block, in block order and fault-list order
   // within a block, so the bookkeeping and observer stream are
-  // bit-identical for every thread count, shard layout, and batch size —
-  // and, because class members corrupt the circuit identically, for
-  // folding on or off (merge_slot_ hands every member its class's mask).
-  // A fault dropped by an earlier block's pass is skipped in later
+  // bit-identical for every thread count, chunk claim order, and batch
+  // size — and, because class members corrupt the circuit identically,
+  // for folding on or off (merge_slot_ hands every member its class's
+  // mask). A fault dropped by an earlier block's pass is skipped in later
   // blocks' passes, exactly as it would have left the active set between
   // sequential blocks. The epoch-stamped slot table points each hit slot
   // at its queued row, so a block costs O(hits) to index, not O(slots).
@@ -742,8 +764,8 @@ size_t FaultSimulator::reduceHits(int64_t pattern_base, size_t n_blocks,
       std::fill(slot_stamp_.begin(), slot_stamp_.end(), 0u);
       epoch_ = 1;
     }
-    for (unsigned t = 0; t < n_threads; ++t) {
-      const HitQueue& q = hits_[t][b];
+    for (size_t c = 0; c < n_chunks; ++c) {
+      const HitQueue& q = hits_[c][b];
       for (size_t i = 0; i < q.slots.size(); ++i) {
         slot_row_[q.slots[i]] = q.rows.data() + i * w;
         slot_stamp_[q.slots[i]] = epoch_;
@@ -880,12 +902,36 @@ size_t FaultSimulator::simulateBlockStuckAtStaged(
 
   // Per-stage observation flags: detection counts at a stage DFF's D
   // driver at that stage's own pulse (and only if globally observed).
+  // Per-stage cones: the fanin closure, through combinational gates, of
+  // the D drivers of every stage DFF. A stage reads fault effects only
+  // at those drivers (its detections and the captures it holds for later
+  // stages), and every gate of the closure has its fanins in it too, so
+  // propagating inside the cone alone leaves each value read exact.
   stage_observed_.resize(n_stages);
+  stage_live_.resize(n_stages);
+  std::vector<GateId> stack;
   for (size_t j = 0; j < n_stages; ++j) {
     stage_observed_[j].assign(nl_->numGates(), 0);
+    std::vector<uint8_t>& live = stage_live_[j];
+    live.assign(nl_->numGates(), 0);
     for (GateId ff : stages[j]) {
       const GateId driver = nl_->gate(ff).fanins[0];
       if (is_observed_[driver.v] != 0) stage_observed_[j][driver.v] = 1;
+      if (live[driver.v] == 0) {
+        live[driver.v] = 1;
+        stack.push_back(driver);
+      }
+    }
+    while (!stack.empty()) {
+      const Gate& g = nl_->gate(stack.back());
+      stack.pop_back();
+      if (!isCombinational(g.kind)) continue;
+      for (GateId f : g.fanins) {
+        if (live[f.v] == 0) {
+          live[f.v] = 1;
+          stack.push_back(f);
+        }
+      }
     }
   }
   return simulateFrames(pattern_base, Pass::kStaged, stages);

@@ -19,9 +19,10 @@
 //  1. Frames: the good machine is evaluated on the loaded sources. A
 //     single block is read in place; a batch snapshots one frame per
 //     block; staged capture snapshots one frame per capture pulse.
-//  2. Compute: the live compute set is sharded over the worker pool. A
-//     per-fault kernel walks each fault over every frame and appends
-//     (slot, mask-row) hits to per-thread per-block queues.
+//  2. Compute: the live compute set is cut into fixed contiguous chunks
+//     that the pool's workers claim one at a time. A per-fault kernel
+//     walks each fault over every frame and appends (slot, mask-row)
+//     hits to its chunk's per-block queues.
 //  3. Reduce: one serial pass drains the queues in block order and
 //     fault-list order. It alone records detections, fires the detection
 //     observer, and drops faults, so results are bit-identical to the
@@ -110,9 +111,10 @@ struct FsimOptions {
   /// callbacks, and n-detect dropping. A reach observer runs on one
   /// worker whatever this says.
   uint32_t threads = 1;
-  /// Below this many live faults per worker the engine uses fewer shards —
-  /// thread dispatch overhead beats the propagation work. Results are
-  /// unaffected; tests lower it to force the parallel path on tiny nets.
+  /// Below this many live faults per worker the engine uses fewer
+  /// workers — thread dispatch overhead beats the propagation work.
+  /// Results are unaffected; tests lower it to force the parallel path on
+  /// tiny nets.
   uint32_t min_faults_per_thread = 256;
   /// Structural equivalence folding (fault/collapse.hpp): per block the
   /// engine propagates one member of each equivalence class among the
@@ -141,6 +143,12 @@ struct FsimOptions {
 /// one simulateBatch* call. Results are bit-identical for every batch
 /// size; only the pool-dispatch granularity changes.
 inline constexpr size_t kBatchBlocks = 8;
+
+/// Chunks a parallel dispatch cuts its work into per worker thread. Per-
+/// fault cost is very uneven, so workers claim small chunks until none is
+/// left instead of each taking one fixed slice. Results do not depend on
+/// it: each chunk owns its hit queues and the reduction is keyed by slot.
+inline constexpr size_t kChunksPerWorker = 8;
 
 /// Central FsimOptions validity check: throws std::invalid_argument on
 /// an unsupported lane width or n_detect == 0. The engine/collapse/
@@ -365,7 +373,7 @@ class FaultSimulator {
   template <size_t W>
   struct ScratchW;
 
-  /// One worker's pending detections for one block: parallel arrays of
+  /// One chunk's pending detections for one block: parallel arrays of
   /// compute slots and their W-word mask rows, drained by reduceHits.
   struct HitQueue {
     std::vector<uint32_t> slots;
@@ -400,7 +408,9 @@ class FaultSimulator {
 
   /// Propagates the seeds' diffs through their cones against the
   /// `good_vals` frame (gate-major, stride W); returns the detection
-  /// block accumulated over gates flagged in `observed`. Fills
+  /// block accumulated over gates flagged in `observed`. A non-null
+  /// `live` (one flag per gate, fanin-closed) keeps the wheel inside the
+  /// flagged gates: fanouts outside it are never scheduled. Fills
   /// sc.touched only when `record_touched` (reach observers) — the plain
   /// detection path skips the log. When `forced` names a stuck-at fault,
   /// re-evaluations of its gate keep the fault applied (needed when
@@ -414,7 +424,8 @@ class FaultSimulator {
                                    std::span<const SeedW<W>> seeds,
                                    const uint64_t* good_vals,
                                    const std::vector<uint8_t>& observed,
-                                   const Fault* forced, bool record_touched,
+                                   const uint8_t* live, const Fault* forced,
+                                   bool record_touched,
                                    const sim::LaneWord<W>& early_exit_mask)
       const;
 
@@ -445,8 +456,15 @@ class FaultSimulator {
   size_t simulateFrames(int64_t pattern_base, Pass pass,
                         std::span<const std::vector<GateId>> stages);
 
-  /// The one shard loop: runs fn(shard, scratch, lo, hi) over [0, n)
-  /// split evenly across `n_threads` workers (inline on one).
+  /// How many chunks [0, n) is cut into on `n_threads` workers: at most
+  /// one inline, min(n, kChunksPerWorker * n_threads) in parallel.
+  /// Chunk c covers [n * c / chunks, n * (c + 1) / chunks).
+  [[nodiscard]] static size_t chunkCount(unsigned n_threads, size_t n);
+
+  /// The one work loop: runs fn(chunk, scratch, lo, hi) for every chunk
+  /// of [0, n) (see chunkCount). On one thread the single chunk runs
+  /// inline; otherwise `n_threads` workers claim chunks through one
+  /// atomic cursor, each with its own scratch.
   template <size_t W, typename Fn>
   void forShards(unsigned n_threads, size_t n, Fn&& fn);
 
@@ -481,13 +499,12 @@ class FaultSimulator {
                              const sim::LaneWord<W>& lane_mask,
                              unsigned n_threads);
 
-  /// The one ordered reduction: drains the per-thread hit queues block
+  /// The one ordered reduction: drains the per-chunk hit queues block
   /// by block, in fault-list order within a block — detection
   /// bookkeeping, observer callbacks, n-detect dropping. A fault dropped
   /// by an earlier block is skipped in later blocks. Compacts active_
   /// once at the end. Width-agnostic: rows are lane_words_ words wide.
-  size_t reduceHits(int64_t pattern_base, size_t n_blocks,
-                    unsigned n_threads);
+  size_t reduceHits(int64_t pattern_base, size_t n_blocks, size_t n_chunks);
 
   [[nodiscard]] unsigned resolveThreads(size_t n_work_units) const;
   template <size_t W>
@@ -505,13 +522,15 @@ class FaultSimulator {
   std::vector<uint8_t> is_observed_;
 
   // The current dispatch's frames, with the snapshot storage behind them
-  // (per block or per capture pulse; launch cycles for transition), and
-  // the staged per-pulse observation flags (D drivers of that pulse's
-  // observed DFFs).
+  // (per block or per capture pulse; launch cycles for transition), the
+  // staged per-pulse observation flags (D drivers of that pulse's
+  // observed DFFs) and per-pulse cones (the fanin closure of the D
+  // drivers of every DFF the pulse clocks).
   std::vector<Frame> frames_;
   std::vector<std::vector<uint64_t>> good_frames_;
   std::vector<std::vector<uint64_t>> launch_frames_;
   std::vector<std::vector<uint8_t>> stage_observed_;
+  std::vector<std::vector<uint8_t>> stage_live_;
 
   // One propagation scratch per worker (index 0 doubles as the serial
   // path's scratch), created on demand.
@@ -534,10 +553,11 @@ class FaultSimulator {
   std::vector<uint32_t> merge_slot_;    // active position -> compute slot
   std::vector<uint32_t> rep_slot_;      // per-fault slot scratch (kNoSlot)
 
-  // Reduction state: the per-thread per-block hit queues, the
+  // Reduction state: the per-chunk per-block hit queues (chunk c's
+  // queues are written only by the worker that claimed c), the
   // epoch-stamped slot -> hit-row table, and the per-active-position
   // dropped-in-this-dispatch flags.
-  std::vector<std::vector<HitQueue>> hits_;  // [thread][block]
+  std::vector<std::vector<HitQueue>> hits_;  // [chunk][block]
   std::vector<const uint64_t*> slot_row_;
   std::vector<uint32_t> slot_stamp_;
   uint32_t epoch_ = 0;

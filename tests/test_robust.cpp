@@ -20,6 +20,7 @@
 #include "core/architect.hpp"
 #include "core/flow.hpp"
 #include "dft/test_points.hpp"
+#include "diag/dictionary.hpp"
 #include "fault/fsim.hpp"
 #include "gen/ipcore.hpp"
 #include "gen/refcircuits.hpp"
@@ -1170,6 +1171,38 @@ TEST(AtpgInputs, OutOfRangeGatesAndNonSourceFixesThrow) {
       EXPECT_NE(sv.source, assignable[0]);
     }
   }
+}
+
+TEST(DiagInputs, NonPositiveDictionaryPatternCountsThrow) {
+  // At -128 patterns, (n + 63) / 64 is -1, which sized each row at
+  // SIZE_MAX words: a length_error, or with no faults, rows spanning
+  // garbage. Both entry points reject every count <= 0 up front, and a
+  // rejected build leaves the fault list as it was.
+  for (const int64_t bad : {int64_t{0}, int64_t{-1}, int64_t{-128}}) {
+    EXPECT_THROW((void)diag::ResponseDictionary(0, bad),
+                 std::invalid_argument);
+    EXPECT_THROW((void)diag::ResponseDictionary(5, bad),
+                 std::invalid_argument);
+  }
+
+  core::LbistConfig cfg;
+  cfg.num_chains = 2;
+  cfg.tpi_method = core::TpiMethod::kNone;
+  cfg.test_points = 0;
+  const core::BistReadyCore ready =
+      core::buildBistReadyCore(gen::buildCounter(6), cfg);
+  fault::FaultList faults = fault::FaultList::enumerateStuckAt(ready.netlist);
+  const std::vector<size_t> undetected = faults.undetectedIndices();
+  for (const int64_t bad : {int64_t{0}, int64_t{-128}}) {
+    EXPECT_THROW((void)diag::buildResponseDictionary(ready, faults, bad),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(faults.undetectedIndices(), undetected);
+
+  const diag::ResponseDictionary dict =
+      diag::buildResponseDictionary(ready, faults, 1);
+  EXPECT_EQ(dict.patterns(), 1);
+  EXPECT_EQ(dict.faults(), faults.size());
 }
 
 // ------------------------------------------------- harness completeness
