@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -308,26 +309,27 @@ TEST(Session, IntervalCheckpointsAreRecorded) {
   }
 }
 
-/// FNV-1a over every row word of `dict`, rows in fault order.
-uint64_t rowDigest(const ResponseDictionary& dict) {
+/// FNV-1a over 64-bit values, least significant byte first.
+struct Fnv {
   uint64_t h = 0xcbf29ce484222325ull;
-  for (size_t fi = 0; fi < dict.faults(); ++fi) {
-    for (const uint64_t w : dict.row(fi)) {
-      for (int b = 0; b < 64; b += 8) {
-        h = (h ^ ((w >> b) & 0xffu)) * 0x100000001b3ull;
-      }
+  void add(uint64_t v) {
+    for (int b = 0; b < 64; b += 8) {
+      h = (h ^ ((v >> b) & 0xffu)) * 0x100000001b3ull;
     }
   }
-  return h;
+};
+
+/// FNV-1a over every row word of `dict`, rows in fault order.
+uint64_t rowDigest(const ResponseDictionary& dict) {
+  Fnv fnv;
+  for (size_t fi = 0; fi < dict.faults(); ++fi) {
+    for (const uint64_t w : dict.row(fi)) fnv.add(w);
+  }
+  return fnv.h;
 }
 
-TEST(Dictionary, PinnedRowDigests) {
-  // Stuck-at rows come from the staged-capture engine, which carries
-  // fault effects from one capture pulse to the next. Its rows are
-  // pinned on a three-domain generated core, so a change to the engine's
-  // scheduling, sharding or cone pruning cannot move a row unseen. The
-  // 96-pattern build ends on a partial block. A deliberate change to
-  // what a row means re-pins these values and says why.
+/// The seeded three-domain generated core the pinned digests run on.
+core::BistReadyCore threeDomainCore() {
   gen::IpCoreSpec spec;
   spec.seed = 23;
   spec.target_comb_gates = 600;
@@ -338,7 +340,17 @@ TEST(Dictionary, PinnedRowDigests) {
   spec.num_xsources = 0;
   spec.num_noscan_ffs = 0;
   spec.cross_domain_fraction = 0.15;
-  const core::BistReadyCore ready = makeCore(gen::generateIpCore(spec), 3);
+  return makeCore(gen::generateIpCore(spec), 3);
+}
+
+TEST(Dictionary, PinnedRowDigests) {
+  // Stuck-at rows come from the staged-capture engine, which carries
+  // fault effects from one capture pulse to the next. Its rows are
+  // pinned on a three-domain generated core, so a change to the engine's
+  // scheduling, sharding or cone pruning cannot move a row unseen. The
+  // 96-pattern build ends on a partial block. A deliberate change to
+  // what a row means re-pins these values and says why.
+  const core::BistReadyCore ready = threeDomainCore();
   ASSERT_EQ(ready.netlist.numDomains(), 3u);
 
   const std::vector<std::pair<int64_t, uint64_t>> want = {
@@ -356,6 +368,63 @@ TEST(Dictionary, PinnedRowDigests) {
       EXPECT_EQ(got, digest) << patterns << " patterns, " << threads
                              << " threads: digest 0x" << std::hex << got;
     }
+  }
+}
+
+/// FNV-1a of everything a diagnosis reports: the verdict, the
+/// resolution, the syndrome and every candidate's index, score and
+/// confirmation.
+uint64_t outcomeDigest(const Diagnosis& d) {
+  Fnv fnv;
+  fnv.add(d.failed ? 1 : 0);
+  fnv.add(d.tied_top);
+  for (const uint8_t w : d.syndrome.dirty_windows) fnv.add(w);
+  fnv.add(d.syndrome.failing_patterns.size());
+  for (const int64_t p : d.syndrome.failing_patterns) {
+    fnv.add(static_cast<uint64_t>(p));
+  }
+  fnv.add(static_cast<uint64_t>(d.syndrome.first_failing_pattern));
+  for (const uint8_t f : d.syndrome.failing_domains) fnv.add(f);
+  fnv.add(d.candidates.size());
+  for (const Candidate& c : d.candidates) {
+    fnv.add(c.fault_index);
+    fnv.add(std::bit_cast<uint64_t>(c.score));
+    fnv.add(c.confirmed ? 1 : 0);
+  }
+  return fnv.h;
+}
+
+TEST(Diagnosis, PinnedOutcomeDigests) {
+  // Whole diagnoses pinned on the three-domain core: 48 dies, each with
+  // one stuck-at drawn at an even stride through the universe (scan-path
+  // and control sites included), diagnosed with and without the exact
+  // per-pattern replay. Any change to how sessions are run, replayed or
+  // confirmed, or to how candidates are matched and ranked, must leave
+  // every syndrome, candidate, score and confirmation where it was.
+  const core::BistReadyCore ready = threeDomainCore();
+  constexpr size_t kDies = 48;
+  const std::vector<std::pair<bool, uint64_t>> want = {
+      {true, 0x85f08bc463fc596aull},
+      {false, 0xa500e8fe1c6a99f9ull},
+  };
+  for (const auto& [exact, digest] : want) {
+    DiagnosisOptions o = baseOptions(16, 1);
+    o.exact_pattern_replay = exact;
+    Diagnoser diag(ready, o);
+    const size_t n = diag.faults().size();
+    Fnv fnv;
+    size_t failed = 0;
+    for (size_t k = 0; k < kDies; ++k) {
+      const fault::Fault& f = diag.faults().record(k * n / kDies + 3).fault;
+      Netlist die = ready.netlist;
+      fault::injectStuckAt(die, f);
+      const Diagnosis d = diag.diagnoseDie(die);
+      failed += d.failed ? 1 : 0;
+      fnv.add(outcomeDigest(d));
+    }
+    EXPECT_GE(failed, 40u);
+    EXPECT_EQ(fnv.h, digest) << "exact replay " << exact << ": digest 0x"
+                             << std::hex << fnv.h;
   }
 }
 
