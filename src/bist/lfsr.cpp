@@ -188,11 +188,10 @@ std::vector<uint64_t> WideMisr::signatureWords() const {
   return words;
 }
 
-std::string WideMisr::signatureHex() const {
+std::string WideMisr::hex(std::span<const uint64_t> words) {
   static constexpr char kHex[] = "0123456789abcdef";
   std::string out;
-  for (const Misr& m : segments_) {
-    uint64_t v = m.signature();
+  for (uint64_t v : words) {
     char buf[17];
     for (int i = 15; i >= 0; --i) {
       buf[i] = kHex[v & 0xf];

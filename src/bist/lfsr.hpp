@@ -142,7 +142,13 @@ class WideMisr {
   [[nodiscard]] Advancer advancer(uint64_t cycles) const;
 
   [[nodiscard]] std::vector<uint64_t> signatureWords() const;
-  [[nodiscard]] std::string signatureHex() const;
+  [[nodiscard]] std::string signatureHex() const {
+    return hex(signatureWords());
+  }
+
+  /// Signature words as signatureHex() renders them: 16 hex digits per
+  /// segment word, segments joined by '_'.
+  [[nodiscard]] static std::string hex(std::span<const uint64_t> words);
 
   friend bool operator==(const WideMisr& a, const WideMisr& b) {
     return a.length_ == b.length_ &&

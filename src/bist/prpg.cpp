@@ -2,6 +2,7 @@
 
 #include <array>
 #include <bit>
+#include <cstring>
 #include <stdexcept>
 
 namespace lbist::bist {
@@ -214,6 +215,61 @@ double Odc::gateEquivalents() const {
   double ge = 6.0 * cfg_.misr_length + 2.5 * cfg_.misr_length;  // FF + XOR
   if (compactor_) ge += 2.5 * static_cast<double>(compactor_->xorCount());
   return ge;
+}
+
+LaneOdc::LaneOdc(const OdcConfig& cfg) {
+  const Odc serial(cfg);  // validates the configuration
+  // With a compactor, chain j feeds MISR input j % m (SpaceCompactor).
+  const int m = serial.compactor() != nullptr
+                    ? serial.compactor()->misrInputs()
+                    : cfg.misr_length;
+  for (int j = 0; j < cfg.chains; ++j) {
+    input_cell_.push_back(static_cast<uint32_t>(j % m));
+  }
+  uint32_t offset = 0;
+  for (int len : WideMisr::segmentLengths(cfg.misr_length)) {
+    Segment seg;
+    seg.offset = offset;
+    seg.length = static_cast<uint32_t>(len);
+    for (uint64_t poly = polynomialLowMask(len); poly != 0;
+         poly &= poly - 1) {
+      seg.taps.push_back(static_cast<uint32_t>(std::countr_zero(poly)));
+    }
+    segments_.push_back(std::move(seg));
+    offset += static_cast<uint32_t>(len);
+  }
+  cells_.assign(offset, 0);
+}
+
+void LaneOdc::compact(std::span<const uint64_t> chain_words) {
+  if (chain_words.size() != input_cell_.size()) {
+    throw std::invalid_argument("chain_words size != chains");
+  }
+  // Misr::step per lane: shift every cell up one, feed the top cell back
+  // into the polynomial's taps, then XOR in the inputs.
+  for (const Segment& seg : segments_) {
+    uint64_t* c = cells_.data() + seg.offset;
+    const uint64_t overflow = c[seg.length - 1];
+    std::memmove(c + 1, c, (seg.length - 1) * sizeof(uint64_t));
+    c[0] = 0;
+    for (uint32_t t : seg.taps) c[t] ^= overflow;
+  }
+  for (size_t j = 0; j < chain_words.size(); ++j) {
+    cells_[input_cell_[j]] ^= chain_words[j];
+  }
+}
+
+std::vector<uint64_t> LaneOdc::signature(int lane) const {
+  std::vector<uint64_t> words;
+  words.reserve(segments_.size());
+  for (const Segment& seg : segments_) {
+    uint64_t w = 0;
+    for (uint32_t i = 0; i < seg.length; ++i) {
+      w |= ((cells_[seg.offset + i] >> lane) & 1u) << i;
+    }
+    words.push_back(w);
+  }
+  return words;
 }
 
 void InputSelector::setExternalSlice(std::span<const uint8_t> bits) {

@@ -11,6 +11,7 @@
 // they can be interleaved freely.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -146,6 +147,44 @@ class Odc {
   WideMisr misr_;
   std::optional<SpaceCompactor> compactor_;
   std::vector<uint8_t> misr_in_;
+};
+
+/// The Odc of up to 64 machines at once, bit-sliced: one word per MISR
+/// cell, with bit l of every word belonging to machine (lane) l. compact()
+/// takes one scan-out word per chain, so each lane compacts exactly the
+/// slice stream an Odc of its own would, and signature(l) equals that
+/// Odc's signature(). The dual of Prpg::nextLaneWord: there one LFSR fans
+/// out to 64 patterns, here 64 response streams fan in to 64 MISRs.
+class LaneOdc {
+ public:
+  /// Same configuration rules as Odc; throws std::invalid_argument where
+  /// Odc does.
+  explicit LaneOdc(const OdcConfig& cfg);
+
+  /// Clears every lane's MISR.
+  void reset() { std::fill(cells_.begin(), cells_.end(), uint64_t{0}); }
+
+  /// One compaction clock: bit l of chain_words[c] is lane l's scan-out
+  /// bit of chain c (size == chains()).
+  void compact(std::span<const uint64_t> chain_words);
+
+  /// Lane `lane`'s signature words (0 <= lane < 64), in WideMisr segment
+  /// order.
+  [[nodiscard]] std::vector<uint64_t> signature(int lane) const;
+
+  [[nodiscard]] int chains() const {
+    return static_cast<int>(input_cell_.size());
+  }
+
+ private:
+  struct Segment {
+    uint32_t offset = 0;  // first cell in cells_
+    uint32_t length = 0;
+    std::vector<uint32_t> taps;  // cells the overflow feeds back into
+  };
+  std::vector<Segment> segments_;
+  std::vector<uint64_t> cells_;       // one lane word per MISR cell
+  std::vector<uint32_t> input_cell_;  // per chain, the cell it feeds
 };
 
 /// Input selector (paper Fig. 1): chooses between the PRPG stream and an

@@ -7,41 +7,82 @@
 namespace lbist::core {
 
 BistSession::BistSession(const BistReadyCore& core, const Netlist& die)
+    : BistSession(core, die, {}) {}
+
+BistSession::BistSession(const BistReadyCore& core, const Netlist& die,
+                         std::span<const fault::LaneHypothesis> lanes)
     : core_(&core), die_(&die), sim_(die) {
-  // Injected faults may append tie cells, so the die can be slightly
+  // Injected faults may append tie or force cells, so the die can be
   // larger than the reference; it must never be smaller.
   if (die.numGates() < core.netlist.numGates() ||
       die.numDomains() != core.netlist.numDomains()) {
     throw std::invalid_argument(
         "die must be structurally compatible with the BIST-ready core");
   }
+  if (lanes.size() > fault::kMaxLaneHypotheses) {
+    throw std::invalid_argument("a lane session runs at most 64 lanes");
+  }
+  lanes_ = std::max<size_t>(1, lanes.size());
   for (const DomainBist& db : core.domain_bist) {
     prpgs_.emplace_back(db.prpg);
     odcs_.emplace_back(db.odc);
     slice_.emplace_back(db.chain_indices.size(), 0);
-    so_slice_.emplace_back(db.chain_indices.size(), 0);
+    so_words_.emplace_back(db.chain_indices.size(), 0);
   }
 
+  // Lane masks: keep words start all ones and force words all zeros (the
+  // good machine, which unused lanes stay); each lane clears its keep
+  // bit or sets its force bit.
+  std::vector<uint8_t> is_mask(die.numGates(), 0);
+  std::vector<uint64_t> mask_word(die.numGates(), 0);
+  auto claim = [&](GateId g, uint64_t init) {
+    if (!g.valid() || g.v >= die.numGates() ||
+        die.gate(g).kind != CellKind::kInput) {
+      throw std::invalid_argument("lane mask is not a primary input");
+    }
+    if (is_mask[g.v] == 0) mask_word[g.v] = init;
+    is_mask[g.v] = 1;
+  };
+  for (size_t l = 0; l < lanes.size(); ++l) {
+    claim(lanes[l].keep, ~uint64_t{0});
+    claim(lanes[l].force, 0);
+    const uint64_t bit = uint64_t{1} << l;
+    if (lanes[l].stuck_high) {
+      mask_word[lanes[l].force.v] |= bit;
+    } else {
+      mask_word[lanes[l].keep.v] &= ~bit;
+    }
+  }
+  const uint64_t used =
+      lanes_ == 64 ? ~uint64_t{0} : (uint64_t{1} << lanes_) - 1;
+
   // Run constants: run() drives every primary input to 0 and test_mode
-  // to 1; only the SI ports (PRPG data) and SE change during a run.
+  // to 1; only the SI ports (PRPG data), SE and the lane masks that
+  // differ between lanes are not fixed.
   std::vector<uint8_t> driven(die.numGates(), 0);
-  std::vector<GateId> scan_cells;
   for (const dft::ScanChain& chain : core.scan.chains) {
     driven[chain.si_port.v] = 1;
-    scan_cells.insert(scan_cells.end(), chain.cells.begin(),
-                      chain.cells.end());
   }
   driven[core.scan.se_port.v] = 1;
   const std::optional<GateId> tm_named = die.findGateByName("test_mode");
   for (GateId pi : die.inputs()) {
     if (driven[pi.v] != 0) continue;
+    if (is_mask[pi.v] != 0) {
+      const uint64_t w = mask_word[pi.v] & used;
+      if (w != 0 && w != used) {
+        lane_masks_.emplace_back(pi, mask_word[pi.v]);
+        continue;
+      }
+      held_.push_back(sim::HeldInput{pi, w != 0});
+      continue;
+    }
     held_.push_back(sim::HeldInput{
         pi, pi == core.scan.test_mode_port || pi == tm_named});
   }
 
   // The scan cells are all the session observes (the SO reads). SE is
   // high on every shift edge and low on every launch and capture edge.
-  const sim::PulseAnalysis analysis(sim_, held_, scan_cells);
+  const sim::PulseAnalysis analysis(sim_, held_, scanCells());
   const sim::HeldInput se_high{core.scan.se_port, true};
   const sim::HeldInput se_low{core.scan.se_port, false};
   std::vector<DomainId> all;
@@ -51,6 +92,14 @@ BistSession::BistSession(const BistReadyCore& core, const Netlist& die)
         analysis.program({&all.back(), 1}, {&se_low, 1}));
   }
   shift_program_ = analysis.program(all, {&se_high, 1});
+}
+
+std::vector<GateId> BistSession::scanCells() const {
+  std::vector<GateId> cells;
+  for (const dft::ScanChain& chain : core_->scan.chains) {
+    cells.insert(cells.end(), chain.cells.begin(), chain.cells.end());
+  }
+  return cells;
 }
 
 void BistSession::pulse(const sim::PulseProgram& program) {
@@ -75,10 +124,9 @@ void BistSession::shiftCycle() {
     for (size_t c = 0; c < db.chain_indices.size(); ++c) {
       const dft::ScanChain& chain =
           core_->scan.chains[db.chain_indices[c]];
-      so_slice_[i][c] =
-          static_cast<uint8_t>(sim_.state(chain.so_driver) & 1u);
+      so_words_[i][c] = sim_.state(chain.so_driver);
     }
-    odcs_[i].compact(so_slice_[i]);
+    odcs_[i].compact(so_words_[i]);
     prpgs_[i].nextSlice(slice_[i]);
     for (size_t c = 0; c < db.chain_indices.size(); ++c) {
       const dft::ScanChain& chain =
@@ -91,7 +139,15 @@ void BistSession::shiftCycle() {
 
 SessionResult BistSession::run(const SessionOptions& opts,
                                const SessionResult* golden) {
-  SessionResult res;
+  if (lanes_ != 1) {
+    throw std::logic_error("BistSession::run: use runLanes for lanes");
+  }
+  return std::move(runLanes(opts, golden).front());
+}
+
+std::vector<SessionResult> BistSession::runLanes(
+    const SessionOptions& opts, const SessionResult* golden) {
+  std::vector<SessionResult> res(lanes_);
 
   // Reset: known state everywhere (hardware gets this from the first full
   // shift window; starting from zero keeps the golden run reproducible).
@@ -100,6 +156,7 @@ SessionResult BistSession::run(const SessionOptions& opts,
   for (const sim::HeldInput& h : held_) {
     if (h.high) sim_.setInput(h.gate, ~uint64_t{0});
   }
+  for (const auto& [mask, word] : lane_masks_) sim_.setInput(mask, word);
   seedPrpgs();
   pulses_ = 0;
   ops_evaluated_ = 0;
@@ -116,12 +173,17 @@ SessionResult BistSession::run(const SessionOptions& opts,
                            opts.patterns, opts.capture_order);
 
   auto snapshot = [&]() {
-    SignatureCheckpoint cp;
-    cp.patterns_done = ctrl.patternsDone();
-    for (bist::Odc& odc : odcs_) cp.domain_words.push_back(odc.signature());
-    res.checkpoints.push_back(std::move(cp));
+    for (size_t l = 0; l < lanes_; ++l) {
+      SignatureCheckpoint cp;
+      cp.patterns_done = ctrl.patternsDone();
+      for (const bist::LaneOdc& odc : odcs_) {
+        cp.domain_words.push_back(odc.signature(static_cast<int>(l)));
+      }
+      res[l].checkpoints.push_back(std::move(cp));
+    }
   };
 
+  uint64_t session_ps = 0;
   while (auto ev = sched.next()) {
     ctrl.onEvent(*ev);
     if (ctrl.checkpointDue()) snapshot();
@@ -143,7 +205,7 @@ SessionResult BistSession::run(const SessionOptions& opts,
       case bist::ScheduleEvent::Kind::kPatternEnd:
         break;
       case bist::ScheduleEvent::Kind::kSessionEnd:
-        res.session_ps = ev->time_ps;
+        session_ps = ev->time_ps;
         break;
     }
   }
@@ -154,30 +216,88 @@ SessionResult BistSession::run(const SessionOptions& opts,
     for (int s = 0; s < shift_cycles; ++s) shiftCycle();
   }
 
-  res.patterns_done = ctrl.patternsDone();
-  res.shift_pulses = ctrl.shiftPulses();
-  res.capture_pulses = ctrl.capturePulses();
-  for (bist::Odc& odc : odcs_) {
-    res.signatures.push_back(odc.signatureHex());
-    res.signature_words.push_back(odc.signature());
-  }
-
-  bool match = golden != nullptr;
-  if (golden != nullptr) {
-    if (golden->signatures.size() != res.signatures.size()) {
-      match = false;
-    } else {
-      for (size_t i = 0; i < res.signatures.size(); ++i) {
-        if (res.signatures[i] != golden->signatures[i]) match = false;
-      }
+  for (size_t l = 0; l < lanes_; ++l) {
+    SessionResult& r = res[l];
+    r.patterns_done = ctrl.patternsDone();
+    r.shift_pulses = ctrl.shiftPulses();
+    r.capture_pulses = ctrl.capturePulses();
+    r.session_ps = session_ps;
+    for (const bist::LaneOdc& odc : odcs_) {
+      r.signature_words.push_back(odc.signature(static_cast<int>(l)));
+      r.signatures.push_back(bist::WideMisr::hex(r.signature_words.back()));
     }
+    const bool match =
+        golden != nullptr && golden->signatures == r.signatures;
+    ctrl.setSignatureMatch(match);
+    r.finish = ctrl.finish();
+    r.result_pass = ctrl.result();
   }
-  ctrl.setSignatureMatch(match);
-  res.finish = ctrl.finish();
-  res.result_pass = ctrl.result();
   OBS_COUNT("session.pulses", pulses_);
   OBS_COUNT("session.ops_evaluated", ops_evaluated_);
   return res;
+}
+
+std::vector<SessionResult> BistSession::runHypotheses(
+    std::span<const fault::Fault> hypotheses, const SessionOptions& opts,
+    size_t* passes) const {
+  // Every op evaluates all 64 lanes at once, so a pass costs the union of
+  // its lanes' programs: everything that fits runs in one pass. Beyond
+  // that, a hypothesis whose site some pulse holds constant widens the
+  // programs of every lane of its pass (a variable scan enable pulls the
+  // functional cone into the shift program), so such hypotheses fill
+  // passes of their own instead of one in each pass.
+  std::vector<std::vector<size_t>> groups;
+  if (hypotheses.size() <= fault::kMaxLaneHypotheses) {
+    if (!hypotheses.empty()) groups.emplace_back();
+    for (size_t h = 0; h < hypotheses.size(); ++h) groups[0].push_back(h);
+  } else {
+    const sim::PulseAnalysis analysis(sim_, held_, {});
+    const sim::HeldInput se_high{core_->scan.se_port, true};
+    const sim::HeldInput se_low{core_->scan.se_port, false};
+    const std::vector<uint8_t> shift_lv = analysis.pulseLevels({&se_high, 1});
+    const std::vector<uint8_t> capture_lv =
+        analysis.pulseLevels({&se_low, 1});
+    std::vector<size_t> control;
+    std::vector<size_t> shared;
+    for (size_t h = 0; h < hypotheses.size(); ++h) {
+      const fault::Fault& f = hypotheses[h];
+      if (!f.gate.valid() || f.gate.v >= die_->numGates() ||
+          (f.pin != fault::kOutputPin &&
+           f.pin >= die_->gate(f.gate).fanins.size())) {
+        throw std::invalid_argument("runHypotheses: site out of range");
+      }
+      const GateId net = f.pin == fault::kOutputPin
+                             ? f.gate
+                             : die_->gate(f.gate).fanins[f.pin];
+      const bool held = shift_lv[net.v] != sim::PulseAnalysis::kVariable ||
+                        capture_lv[net.v] != sim::PulseAnalysis::kVariable;
+      (held ? control : shared).push_back(h);
+    }
+    for (const std::vector<size_t>* list : {&shared, &control}) {
+      for (size_t b = 0; b < list->size(); b += fault::kMaxLaneHypotheses) {
+        const size_t e =
+            std::min(list->size(), b + fault::kMaxLaneHypotheses);
+        groups.emplace_back(list->begin() + b, list->begin() + e);
+      }
+    }
+  }
+
+  std::vector<SessionResult> out(hypotheses.size());
+  std::vector<fault::Fault> pass;
+  for (const std::vector<size_t>& group : groups) {
+    pass.clear();
+    for (size_t h : group) pass.push_back(hypotheses[h]);
+    Netlist die = *die_;
+    const std::vector<fault::LaneHypothesis> lanes =
+        fault::injectStuckAtLanes(die, pass);
+    std::vector<SessionResult> res =
+        BistSession(*core_, die, lanes).runLanes(opts);
+    for (size_t k = 0; k < group.size(); ++k) {
+      out[group[k]] = std::move(res[k]);
+    }
+    if (passes != nullptr) ++*passes;
+  }
+  return out;
 }
 
 }  // namespace lbist::core

@@ -20,16 +20,35 @@
 // must (a scan-mux select tied to 0 pulls the functional cone into the
 // shift program; a freed X-bounding AND makes its non-scan flop live), so
 // signatures and checkpoints are bit-identical to full-evaluation pulses.
+//
+// Lanes. The simulator evaluates 64-bit words, and a session can give
+// each bit lane its own die: a lane session runs a netlist from
+// fault::injectStuckAtLanes, where lane l carries stuck-at hypothesis l
+// (up to 64) and the PRPG stimulus is broadcast to every lane. Shift
+// edges feed whole scan-out words into bit-sliced ODCs (bist::LaneOdc),
+// so runLanes() returns one result per lane, and lane l's signatures and
+// checkpoints are bit-identical to a one-lane session on injectStuckAt's
+// die of hypothesis l (Session.LaneHypothesesMatchInjectedDies). A mask
+// input that is uniform across the pass's lanes is held like a run
+// constant, so a one-hypothesis pass prunes its programs exactly as the
+// injected constant would. A good die is the zero-hypothesis case of the
+// same code. runHypotheses() groups hypotheses into passes: one whose
+// site some pulse holds constant (scan enable, test_mode, scan-mux
+// selects, X-bounding gates) would widen every lane's programs, so it
+// runs alone; all others share 64-lane passes.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bist/controller.hpp"
 #include "bist/prpg.hpp"
 #include "core/architect.hpp"
+#include "fault/inject.hpp"
 #include "sim/pulse_program.hpp"
 #include "sim/seqsim.hpp"
 
@@ -87,7 +106,8 @@ struct SessionResult {
   bool result_pass = false;
 };
 
-/// Cycle-accurate self-test of one die against one BIST-ready core.
+/// Cycle-accurate self-test of one die, or of up to 64 stuck-at
+/// hypotheses at once, against one BIST-ready core.
 class BistSession {
  public:
   /// `die` is the netlist to simulate — pass `core.netlist` for a good
@@ -96,33 +116,65 @@ class BistSession {
   /// (same ports and scan fabric).
   BistSession(const BistReadyCore& core, const Netlist& die);
 
-  /// Runs a full self-test. When `golden` is non-null the controller
-  /// compares against it and SessionResult::result_pass is meaningful.
-  /// Every run starts from reset (DFFs, inputs, PRPGs, MISRs), so one
-  /// session may run any number of times with any options.
+  /// A lane session: `die` comes from fault::injectStuckAtLanes and
+  /// `lanes` is what it returned; lane l runs hypothesis l. An empty
+  /// `lanes` is a one-lane session of `die` itself. Throws
+  /// std::invalid_argument for more than 64 lanes or a mask that is not
+  /// a primary input of `die`.
+  BistSession(const BistReadyCore& core, const Netlist& die,
+              std::span<const fault::LaneHypothesis> lanes);
+
+  /// Lanes a run reports: max(1, hypotheses).
+  [[nodiscard]] size_t lanes() const { return lanes_; }
+
+  /// Runs a full self-test and returns one result per lane. When
+  /// `golden` is non-null the controller compares every lane against it
+  /// and SessionResult::result_pass is meaningful. Every run starts from
+  /// reset (DFFs, inputs, PRPGs, MISRs), so one session may run any
+  /// number of times with any options.
+  [[nodiscard]] std::vector<SessionResult> runLanes(
+      const SessionOptions& opts, const SessionResult* golden = nullptr);
+
+  /// runLanes() of a one-lane session. Throws std::logic_error when the
+  /// session has more than one lane.
   [[nodiscard]] SessionResult run(const SessionOptions& opts,
                                   const SessionResult* golden = nullptr);
+
+  /// Runs each stuck-at hypothesis on this session's die as one lane of
+  /// a die copy (see the file comment for the grouping), and returns one
+  /// result per hypothesis, in order. Adds the number of lane sessions
+  /// run to `*passes` when non-null. Throws like injectStuckAtLanes for
+  /// an invalid hypothesis.
+  [[nodiscard]] std::vector<SessionResult> runHypotheses(
+      std::span<const fault::Fault> hypotheses, const SessionOptions& opts,
+      size_t* passes = nullptr) const;
 
  private:
   void shiftCycle();
   void seedPrpgs();
   void pulse(const sim::PulseProgram& program);
+  /// The scan cells: every DFF the session reads.
+  [[nodiscard]] std::vector<GateId> scanCells() const;
 
   const BistReadyCore* core_;
   const Netlist* die_;
+  size_t lanes_ = 1;
   sim::SeqSimulator sim_;
   // Inputs fixed for the whole run: every primary input except the SI
-  // ports and SE, at 0, with test_mode at 1.
+  // ports and SE, at 0, with test_mode at 1; lane masks uniform across
+  // the lanes at their level.
   std::vector<sim::HeldInput> held_;
+  // Lane masks that differ between lanes, with their lane words.
+  std::vector<std::pair<GateId, uint64_t>> lane_masks_;
   sim::PulseProgram shift_program_;                  // SE=1, all domains
   std::vector<sim::PulseProgram> capture_programs_;  // SE=0, per domain
   // Work tallies of the current run, flushed once per run().
   uint64_t pulses_ = 0;
   uint64_t ops_evaluated_ = 0;
   std::vector<bist::Prpg> prpgs_;
-  std::vector<bist::Odc> odcs_;
-  std::vector<std::vector<uint8_t>> slice_;     // per domain, per chain
-  std::vector<std::vector<uint8_t>> so_slice_;  // per domain, per chain
+  std::vector<bist::LaneOdc> odcs_;
+  std::vector<std::vector<uint8_t>> slice_;      // per domain, per chain
+  std::vector<std::vector<uint64_t>> so_words_;  // per domain, per chain
 };
 
 }  // namespace lbist::core

@@ -1,11 +1,21 @@
 #include "fault/inject.hpp"
 
+#include <map>
 #include <stdexcept>
+#include <utility>
 
 namespace lbist::fault {
 
+namespace {
+
+bool isStuckAt(const Fault& f) {
+  return f.type == FaultType::kStuckAt0 || f.type == FaultType::kStuckAt1;
+}
+
+}  // namespace
+
 void injectStuckAt(Netlist& nl, const Fault& f) {
-  if (f.type != FaultType::kStuckAt0 && f.type != FaultType::kStuckAt1) {
+  if (!isStuckAt(f)) {
     throw std::invalid_argument(
         "only stuck-at faults can be hardwired into a zero-delay netlist");
   }
@@ -15,6 +25,51 @@ void injectStuckAt(Netlist& nl, const Fault& f) {
   } else {
     nl.setFanin(f.gate, f.pin, tied);
   }
+}
+
+std::vector<LaneHypothesis> injectStuckAtLanes(
+    Netlist& nl, std::span<const Fault> hypotheses) {
+  if (hypotheses.empty() || hypotheses.size() > kMaxLaneHypotheses) {
+    throw std::invalid_argument(
+        "injectStuckAtLanes: a pass holds 1 to 64 hypotheses");
+  }
+  for (const Fault& f : hypotheses) {
+    if (!isStuckAt(f)) {
+      throw std::invalid_argument(
+          "injectStuckAtLanes: only stuck-at faults have lanes");
+    }
+    if (!f.gate.valid() || f.gate.v >= nl.numGates() ||
+        (f.pin != kOutputPin && f.pin >= nl.gate(f.gate).fanins.size())) {
+      throw std::invalid_argument("injectStuckAtLanes: site out of range");
+    }
+  }
+  // One force cell per distinct (gate, pin) site. Each lane carries one
+  // hypothesis, so when two sites chain (an output fault feeding a pin
+  // fault's force cell) every lane still sees only its own force.
+  std::map<std::pair<uint32_t, uint8_t>, std::pair<GateId, GateId>> sites;
+  std::vector<LaneHypothesis> out;
+  out.reserve(hypotheses.size());
+  for (const Fault& f : hypotheses) {
+    auto [it, fresh] = sites.try_emplace({f.gate.v, f.pin});
+    if (fresh) {
+      const GateId keep = nl.addInput({});
+      const GateId force = nl.addInput({});
+      const GateId site =
+          f.pin == kOutputPin ? f.gate : nl.gate(f.gate).fanins[f.pin];
+      const GateId masked = nl.addGate(CellKind::kAnd, {site, keep});
+      const GateId cell = nl.addGate(CellKind::kOr, {masked, force});
+      if (f.pin == kOutputPin) {
+        nl.replaceAllUses(f.gate, cell);
+        nl.setFanin(masked, 0, f.gate);  // undo the self-loop just made
+      } else {
+        nl.setFanin(f.gate, f.pin, cell);
+      }
+      it->second = {keep, force};
+    }
+    out.push_back(LaneHypothesis{it->second.first, it->second.second,
+                                 f.type == FaultType::kStuckAt1});
+  }
+  return out;
 }
 
 }  // namespace lbist::fault

@@ -2,6 +2,7 @@
 // PRPG/ODC stacks, schedule generator, controller FSM.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
 #include <vector>
 
@@ -396,6 +397,59 @@ TEST(Odc, RequiresMisrAtLeastChainsWithoutCompactor) {
   OdcConfig compacted = bad;
   compacted.use_compactor = true;
   EXPECT_NO_THROW(Odc{compacted});
+}
+
+// The bit-sliced ODC against 64 serial ones: lane l of every compacted
+// word is chain output of machine l, and each machine's signature must
+// equal an Odc fed that machine's bits, on wide segmented MISRs (99 and
+// 64 bits, no compactor) and on compactors narrower than the chain
+// count, with resets in between.
+TEST(LaneOdc, MatchesSixtyFourSerialOdcs) {
+  struct Case {
+    int chains;
+    int misr_length;
+    bool compactor;
+  };
+  for (const Case& c : {Case{99, 99, false}, Case{5, 64, false},
+                        Case{40, 19, true}, Case{7, 7, true}}) {
+    OdcConfig cfg;
+    cfg.chains = c.chains;
+    cfg.misr_length = c.misr_length;
+    cfg.use_compactor = c.compactor;
+    LaneOdc lanes(cfg);
+    ASSERT_EQ(lanes.chains(), c.chains);
+    std::vector<Odc> serial(64, Odc(cfg));
+    std::mt19937_64 rng(static_cast<uint64_t>(c.chains * 1000 +
+                                              c.misr_length));
+    std::vector<uint64_t> words(static_cast<size_t>(c.chains));
+    std::vector<uint8_t> bits(words.size());
+    for (int round = 0; round < 2; ++round) {
+      lanes.reset();
+      for (Odc& o : serial) o.reset();
+      for (int cycle = 0; cycle < 300; ++cycle) {
+        for (uint64_t& w : words) w = rng();
+        lanes.compact(words);
+        for (int l = 0; l < 64; ++l) {
+          for (size_t j = 0; j < words.size(); ++j) {
+            bits[j] = static_cast<uint8_t>((words[j] >> l) & 1u);
+          }
+          serial[static_cast<size_t>(l)].compact(bits);
+        }
+      }
+      for (int l = 0; l < 64; ++l) {
+        EXPECT_EQ(lanes.signature(l),
+                  serial[static_cast<size_t>(l)].signature())
+            << c.chains << " chains, " << c.misr_length << "-bit MISR, lane "
+            << l;
+      }
+    }
+    std::vector<uint64_t> short_words(words.size() - 1);
+    EXPECT_THROW(lanes.compact(short_words), std::invalid_argument);
+  }
+  OdcConfig bad;
+  bad.chains = 20;
+  bad.misr_length = 19;
+  EXPECT_THROW(LaneOdc{bad}, std::invalid_argument);
 }
 
 TEST(InputSelector, ExternalModeOverridesPrpg) {

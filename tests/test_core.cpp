@@ -2,7 +2,9 @@
 // flow, JTAG-driven LbistTop, and Table 1 reporting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "core/session.hpp"
 #include "core/thread_pool.hpp"
 #include "dft/xbound.hpp"
+#include "fault/fault.hpp"
 #include "fault/inject.hpp"
 #include "gen/ipcore.hpp"
 #include "gen/soc.hpp"
@@ -352,6 +355,115 @@ TEST(Session, ReusedSessionMatchesFreshSession) {
       EXPECT_EQ(a.finish, b.finish);
       EXPECT_EQ(a.result_pass, b.result_pass);
     }
+  }
+}
+
+/// Lane l of a lane session must be the session of injectStuckAt's die
+/// of hypothesis l, bit for bit: signatures, every interval-1 checkpoint,
+/// and the verdict against `golden` (nullptr: none).
+void expectLaneMatchesInjectedDie(const BistReadyCore& ready,
+                                  const fault::Fault& f,
+                                  const SessionOptions& opts,
+                                  const SessionResult* golden,
+                                  const SessionResult& lane) {
+  Netlist die = ready.netlist;
+  fault::injectStuckAt(die, f);
+  const SessionResult want = BistSession(ready, die).run(opts, golden);
+  SCOPED_TRACE(f.describe(ready.netlist));
+  EXPECT_EQ(lane.signatures, want.signatures);
+  EXPECT_EQ(lane.signature_words, want.signature_words);
+  EXPECT_EQ(lane.checkpoints, want.checkpoints);
+  EXPECT_EQ(lane.result_pass, want.result_pass);
+  EXPECT_EQ(lane.finish, want.finish);
+  EXPECT_EQ(lane.shift_pulses, want.shift_pulses);
+  EXPECT_EQ(lane.capture_pulses, want.capture_pulses);
+}
+
+// The lane contract over a whole stuck-at universe: every fault of a
+// small three-domain core runs as a lane, in passes of up to 64 lanes in
+// universe order (control sites share passes with functional ones), and
+// again through runHypotheses' grouping (more than 64 hypotheses, so
+// several shared passes plus the solo control-site passes). The sites
+// whose faults change what the pulse programs prune are named first so
+// they are covered whatever the enumeration keeps: scan enable,
+// test_mode, a scan-mux select, a scan cell's output, a chain's scan-out
+// cell and an X-bounding gate.
+TEST(Session, LaneHypothesesMatchInjectedDies) {
+  gen::IpCoreSpec spec;
+  spec.seed = 77;
+  spec.target_comb_gates = 220;
+  spec.target_ffs = 24;
+  spec.num_inputs = 8;
+  spec.num_outputs = 6;
+  spec.num_domains = 3;
+  spec.num_xsources = 2;
+  spec.num_noscan_ffs = 2;
+  LbistConfig cfg;
+  cfg.num_chains = 3;
+  cfg.test_points = 4;
+  cfg.tpi.warmup_patterns = 64;
+  cfg.tpi.guidance_patterns = 32;
+  const BistReadyCore ready =
+      buildBistReadyCore(gen::generateIpCore(spec), cfg);
+  const Netlist& nl = ready.netlist;
+  ASSERT_EQ(nl.numDomains(), 3u);
+  ASSERT_FALSE(ready.xbound.blocking_gates.empty());
+
+  const dft::ScanChain& chain = ready.scan.chains[0];
+  const GateId cell = chain.cells[chain.cells.size() / 2];
+  const GateId mux = nl.gate(cell).fanins[0];
+  ASSERT_TRUE(nl.hasFlag(mux, kFlagScanMux));
+  using fault::Fault;
+  using fault::FaultType;
+  std::vector<Fault> hypotheses = {
+      {ready.scan.se_port, fault::kOutputPin, FaultType::kStuckAt0},
+      {ready.scan.se_port, fault::kOutputPin, FaultType::kStuckAt1},
+      {ready.scan.test_mode_port, fault::kOutputPin, FaultType::kStuckAt0},
+      {mux, 2, FaultType::kStuckAt1},
+      {mux, 2, FaultType::kStuckAt0},
+      {cell, fault::kOutputPin, FaultType::kStuckAt1},
+      {chain.so_driver, fault::kOutputPin, FaultType::kStuckAt0},
+      {ready.xbound.blocking_gates.back(), 1, FaultType::kStuckAt1},
+      {ready.xbound.blocking_gates.front(), fault::kOutputPin,
+       FaultType::kStuckAt1},
+  };
+  const fault::FaultList universe = fault::FaultList::enumerateStuckAt(nl);
+  for (size_t i = 0; i < universe.size(); ++i) {
+    hypotheses.push_back(universe.record(i).fault);
+  }
+
+  SessionOptions opts;
+  opts.patterns = 10;
+  opts.signature_interval = 1;
+  BistSession good(ready, nl);
+  const SessionResult golden = good.run(opts);
+
+  for (size_t b = 0; b < hypotheses.size(); b += 64) {
+    const size_t e = std::min(hypotheses.size(), b + 64);
+    const std::span<const Fault> pass(hypotheses.data() + b, e - b);
+    Netlist die = nl;
+    const std::vector<fault::LaneHypothesis> lanes =
+        fault::injectStuckAtLanes(die, pass);
+    BistSession session(ready, die, lanes);
+    ASSERT_EQ(session.lanes(), pass.size());
+    const std::vector<SessionResult> res = session.runLanes(opts, &golden);
+    ASSERT_EQ(res.size(), pass.size());
+    for (size_t l = 0; l < pass.size(); ++l) {
+      expectLaneMatchesInjectedDie(ready, pass[l], opts, &golden, res[l]);
+    }
+  }
+
+  size_t passes = 0;
+  const std::vector<SessionResult> grouped =
+      good.runHypotheses(hypotheses, opts, &passes);
+  ASSERT_EQ(grouped.size(), hypotheses.size());
+  // Control-site hypotheses fill passes of their own: at most one
+  // partial pass more than the universe needs.
+  EXPECT_GE(passes, (hypotheses.size() + 63) / 64);
+  EXPECT_LE(passes, (hypotheses.size() + 63) / 64 + 1);
+  for (size_t h = 0; h < hypotheses.size(); ++h) {
+    expectLaneMatchesInjectedDie(ready, hypotheses[h], opts, nullptr,
+                                 grouped[h]);
   }
 }
 
