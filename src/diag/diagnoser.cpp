@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "bist/lfsr.hpp"
-#include "fault/inject.hpp"
 
 namespace lbist::diag {
 
@@ -55,6 +54,10 @@ Diagnoser::Diagnoser(const core::BistReadyCore& core, DiagnosisOptions opts)
     throw std::invalid_argument(
         "Diagnoser: signature_interval must be positive");
   }
+  if (core.domain_bist.size() > 32) {
+    throw std::invalid_argument(
+        "Diagnoser: domain masks hold at most 32 BISTed domains");
+  }
 
   // Per-domain reverse reachability to that domain's MISR observation
   // set: candidates that cannot reach a failing domain's signature are
@@ -64,16 +67,20 @@ Diagnoser::Diagnoser(const core::BistReadyCore& core, DiagnosisOptions opts)
   // same window, so only the full sequential backward cone is a safe
   // (conservative) filter.
   const Netlist& nl = core.netlist;
-  domain_reach_.resize(core.domain_bist.size());
+  std::vector<uint32_t> gate_reach(nl.numGates(), 0);
+  // Per gate, the domains whose chains hold it as a scan cell.
+  std::vector<uint32_t> cell_domains(nl.numGates(), 0);
+  std::vector<uint8_t> seen;
+  std::vector<GateId> queue;
   for (size_t i = 0; i < core.domain_bist.size(); ++i) {
-    std::vector<uint8_t>& reaches = domain_reach_[i];
-    reaches.assign(nl.numGates(), 0);
-    std::vector<GateId> queue;
+    const uint32_t bit = uint32_t{1} << i;
+    seen.assign(nl.numGates(), 0);
     for (size_t ci : core.domain_bist[i].chain_indices) {
       for (GateId cell : core.scan.chains[ci].cells) {
+        cell_domains[cell.v] |= bit;
         const GateId driver = nl.gate(cell).fanins[0];
-        if (reaches[driver.v] == 0) {
-          reaches[driver.v] = 1;
+        if (seen[driver.v] == 0) {
+          seen[driver.v] = 1;
           queue.push_back(driver);
         }
       }
@@ -81,12 +88,24 @@ Diagnoser::Diagnoser(const core::BistReadyCore& core, DiagnosisOptions opts)
     while (!queue.empty()) {
       const GateId g = queue.back();
       queue.pop_back();
+      gate_reach[g.v] |= bit;
       for (GateId f : nl.gate(g).fanins) {
-        if (reaches[f.v] == 0) {
-          reaches[f.v] = 1;
+        if (seen[f.v] == 0) {
+          seen[f.v] = 1;
           queue.push_back(f);
         }
       }
+    }
+  }
+  // A capture-pin fault of a scan cell is also observed directly at the
+  // cell's own chain.
+  reach_mask_.resize(faults_.size());
+  for (size_t fi = 0; fi < faults_.size(); ++fi) {
+    const fault::Fault& f = faults_.record(fi).fault;
+    reach_mask_[fi] = gate_reach[f.gate.v];
+    if (f.pin != fault::kOutputPin &&
+        nl.gate(f.gate).kind == CellKind::kDff) {
+      reach_mask_[fi] |= cell_domains[f.gate.v];
     }
   }
 }
@@ -106,14 +125,33 @@ core::SessionOptions Diagnoser::sessionOptions() const {
   return o;
 }
 
+core::SessionOptions Diagnoser::perPatternOptions() const {
+  core::SessionOptions o = sessionOptions();
+  o.signature_interval = 1;
+  return o;
+}
+
+core::SessionResult Diagnoser::windowView(
+    const core::SessionResult& per_pattern) const {
+  // Snapshots are read-only, so keeping every interval-th checkpoint of a
+  // per-pattern run is exactly what a run at that interval records.
+  core::SessionResult r = per_pattern;
+  std::erase_if(r.checkpoints, [&](const core::SignatureCheckpoint& cp) {
+    return cp.patterns_done % opts_.signature_interval != 0;
+  });
+  return r;
+}
+
 core::BistSession& Diagnoser::goldenSession() {
   if (!golden_session_) golden_session_.emplace(*core_, core_->netlist);
   return *golden_session_;
 }
 
-const core::SessionResult& Diagnoser::goldenRun() {
-  if (!golden_) golden_ = goldenSession().run(sessionOptions());
-  return *golden_;
+void Diagnoser::ensureGolden() {
+  if (!golden_fine_) {
+    golden_fine_ = goldenSession().run(perPatternOptions());
+    golden_ = windowView(*golden_fine_);
+  }
 }
 
 Syndrome Diagnoser::extractSyndrome(
@@ -203,30 +241,6 @@ const ResponseDictionary& Diagnoser::dictionary() {
   return *dict_;
 }
 
-uint32_t Diagnoser::domainReachMask(const fault::Fault& f) const {
-  const Netlist& nl = core_->netlist;
-  uint32_t mask = 0;
-  for (size_t i = 0; i < domain_reach_.size(); ++i) {
-    if (domain_reach_[i][f.gate.v] != 0) mask |= uint32_t{1} << i;
-  }
-  const Gate& g = nl.gate(f.gate);
-  if (f.pin != fault::kOutputPin && g.kind == CellKind::kDff) {
-    // Capture-pin fault: also observed directly at the cell's own chain.
-    const dft::ScanChain* chain = core_->scan.chainOf(f.gate);
-    if (chain != nullptr) {
-      const size_t chain_index =
-          static_cast<size_t>(chain - core_->scan.chains.data());
-      for (size_t i = 0; i < core_->domain_bist.size(); ++i) {
-        const auto& idx = core_->domain_bist[i].chain_indices;
-        if (std::find(idx.begin(), idx.end(), chain_index) != idx.end()) {
-          mask |= uint32_t{1} << i;
-        }
-      }
-    }
-  }
-  return mask;
-}
-
 void Diagnoser::matchSyndrome(const Syndrome& syndrome, Diagnosis& out) {
   ensureDictionary();
   const ResponseDictionary& dict = *dict_;
@@ -252,15 +266,21 @@ void Diagnoser::matchSyndrome(const Syndrome& syndrome, Diagnosis& out) {
     }
   }
 
-  std::vector<Candidate> all;
+  // Light records: thousands of faults overlap a gross syndrome, and
+  // only the kept few are described.
+  struct Ranked {
+    size_t fault_index;
+    double score;
+    bool exact_match;
+    bool first_fail_match;
+  };
+  std::vector<Ranked> all;
   std::vector<uint8_t> sim_windows(num_windows, 0);
   for (size_t fi = 0; fi < dict.faults(); ++fi) {
     const int64_t first = dict.firstDetection(fi);
     if (first < 0) continue;  // silent fault: cannot explain a failure
-    const fault::Fault& f = faults_.record(fi).fault;
     // A single fault must be able to corrupt every failing domain.
-    if (failing_domain_mask != 0 &&
-        (domainReachMask(f) & failing_domain_mask) != failing_domain_mask) {
+    if ((reach_mask_[fi] & failing_domain_mask) != failing_domain_mask) {
       continue;
     }
 
@@ -292,38 +312,50 @@ void Diagnoser::matchSyndrome(const Syndrome& syndrome, Diagnosis& out) {
     }
     if (inter == 0) continue;  // no overlap with the observed failure
 
-    Candidate c;
-    c.fault_index = fi;
-    c.fault = f;
-    c.description = f.describe(core_->netlist);
-    c.score = static_cast<double>(inter) / static_cast<double>(uni);
-    c.exact_match = inter == uni;
-    c.first_fail_match = syndrome.first_failing_pattern >= 0 &&
-                         first == syndrome.first_failing_pattern;
-    all.push_back(std::move(c));
+    all.push_back(Ranked{
+        fi, static_cast<double>(inter) / static_cast<double>(uni),
+        inter == uni,
+        syndrome.first_failing_pattern >= 0 &&
+            first == syndrome.first_failing_pattern});
   }
 
-  std::sort(all.begin(), all.end(), [](const Candidate& a,
-                                       const Candidate& b) {
-    if (a.exact_match != b.exact_match) return a.exact_match;
-    if (a.first_fail_match != b.first_fail_match) return a.first_fail_match;
-    if (a.score != b.score) return a.score > b.score;
-    return a.fault_index < b.fault_index;
-  });
+  // A total order (fault index breaks every tie), so the kept prefix does
+  // not depend on the sort algorithm.
+  const size_t keep = std::min(opts_.max_candidates, all.size());
+  std::partial_sort(
+      all.begin(), all.begin() + std::max<size_t>(keep, all.empty() ? 0 : 1),
+      all.end(), [](const Ranked& a, const Ranked& b) {
+        if (a.exact_match != b.exact_match) return a.exact_match;
+        if (a.first_fail_match != b.first_fail_match) {
+          return a.first_fail_match;
+        }
+        if (a.score != b.score) return a.score > b.score;
+        return a.fault_index < b.fault_index;
+      });
 
   out.tied_top = 0;
   if (!all.empty()) {
-    const Candidate& top = all.front();
-    for (const Candidate& c : all) {
-      if (c.exact_match == top.exact_match &&
-          c.first_fail_match == top.first_fail_match &&
-          c.score == top.score) {
+    const Ranked& top = all.front();
+    for (const Ranked& r : all) {
+      if (r.exact_match == top.exact_match &&
+          r.first_fail_match == top.first_fail_match &&
+          r.score == top.score) {
         ++out.tied_top;
       }
     }
   }
-  if (all.size() > opts_.max_candidates) all.resize(opts_.max_candidates);
-  out.candidates = std::move(all);
+  out.candidates.clear();
+  for (size_t k = 0; k < keep; ++k) {
+    const Ranked& r = all[k];
+    Candidate c;
+    c.fault_index = r.fault_index;
+    c.fault = faults_.record(r.fault_index).fault;
+    c.description = c.fault.describe(core_->netlist);
+    c.score = r.score;
+    c.exact_match = r.exact_match;
+    c.first_fail_match = r.first_fail_match;
+    out.candidates.push_back(std::move(c));
+  }
   out.faults_simulated = dict.faults();
   out.dictionary_seconds = dict_stats_.seconds;
   out.dictionary_bytes = dict_stats_.bytes;
@@ -333,19 +365,19 @@ void Diagnoser::confirmCandidates(const core::SessionResult& observed,
                                   Diagnosis& out) {
   if (opts_.transition) return;  // transition faults cannot be hardwired
   const size_t n = std::min(opts_.confirm_top, out.candidates.size());
-  const core::SessionOptions o = sessionOptions();
+  if (n == 0) return;
+  // One lane per candidate: a few lane sessions replace n injected dies.
+  std::vector<fault::Fault> hypotheses;
   for (size_t k = 0; k < n; ++k) {
-    Candidate& c = out.candidates[k];
-    Netlist die = core_->netlist;
-    try {
-      fault::injectStuckAt(die, c.fault);
-    } catch (const std::invalid_argument&) {
-      continue;  // un-injectable site (e.g. X-source cone)
-    }
-    const core::SessionResult replay = core::BistSession(*core_, die).run(o);
-    ++out.session_runs;
-    c.confirmed = replay.signature_words == observed.signature_words &&
-                  replay.checkpoints == observed.checkpoints;
+    hypotheses.push_back(out.candidates[k].fault);
+  }
+  const std::vector<core::SessionResult> replays =
+      goldenSession().runHypotheses(hypotheses, sessionOptions(),
+                                    &out.session_runs);
+  for (size_t k = 0; k < n; ++k) {
+    out.candidates[k].confirmed =
+        replays[k].signature_words == observed.signature_words &&
+        replays[k].checkpoints == observed.checkpoints;
   }
   std::stable_sort(out.candidates.begin(), out.candidates.end(),
                    [](const Candidate& a, const Candidate& b) {
@@ -357,13 +389,16 @@ Diagnosis Diagnoser::diagnoseDie(const Netlist& bad_die) {
   const auto t0 = std::chrono::steady_clock::now();
   Diagnosis d;
 
-  const bool golden_cached = golden_.has_value();
-  const core::SessionResult& golden = goldenRun();
+  // One per-pattern run per side: its window view is the interval run,
+  // and its own windows are the exact per-pattern replay.
+  const bool golden_cached = golden_fine_.has_value();
+  ensureGolden();
   core::BistSession bad(*core_, bad_die);
-  const core::SessionResult failing = bad.run(sessionOptions());
+  const core::SessionResult failing_fine = bad.run(perPatternOptions());
+  const core::SessionResult failing = windowView(failing_fine);
   d.session_runs = golden_cached ? 1 : 2;
 
-  d.syndrome = extractSyndrome(golden, failing);
+  d.syndrome = extractSyndrome(*golden_, failing);
   d.failed = d.syndrome.anyDirty();
   if (!d.failed) {
     d.total_seconds =
@@ -375,12 +410,7 @@ Diagnosis Diagnoser::diagnoseDie(const Netlist& bad_die) {
   if (opts_.exact_pattern_replay) {
     // Per-pattern checkpoints turn every window into a single capture:
     // dirty window w (w >= 1) means pattern w-1 failed.
-    core::SessionOptions o = sessionOptions();
-    o.signature_interval = 1;
-    const core::SessionResult g1 = goldenSession().run(o);
-    const core::SessionResult b1 = bad.run(o);
-    d.session_runs += 2;
-    const Syndrome fine = extractSyndrome(g1, b1);
+    const Syndrome fine = extractSyndrome(*golden_fine_, failing_fine);
     for (size_t w = 1; w < fine.dirty_windows.size(); ++w) {
       if (fine.dirty_windows[w] != 0) {
         d.syndrome.failing_patterns.push_back(static_cast<int64_t>(w) - 1);

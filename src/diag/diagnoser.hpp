@@ -3,22 +3,28 @@
 //
 // Three-stage flow on top of the detect-only pipeline:
 //
-//  1. NARROW — the golden and failing sessions record interval MISR
-//     checkpoints (SessionOptions::signature_interval). Because the MISR
-//     is linear, the signature difference D evolves autonomously between
-//     checkpoints (D' = A^cycles * D) unless new errors entered, so the
-//     set of error-injecting windows falls straight out of the
-//     checkpoint trace; binary-search replay of truncated sessions then
-//     pins the first failing pattern in O(log n) re-runs.
+//  1. NARROW — the golden and failing sessions each run once with a MISR
+//     checkpoint after every pattern (the golden run is cached).
+//     Snapshots are read-only, so every signature_interval-th checkpoint
+//     is exactly the interval run. Because the MISR is linear, the
+//     signature difference D evolves autonomously between checkpoints
+//     (D' = A^cycles * D) unless new errors entered, so the set of
+//     error-injecting windows falls straight out of the interval trace,
+//     and the per-pattern trace gives the exact failing patterns. With
+//     exact replay off, binary-search replay of truncated sessions pins
+//     the first failing pattern in O(log n) re-runs instead.
 //  2. MATCH — a response dictionary (per-fault, per-pattern detection
 //     bitmaps from the parallel PPSFP engine, see dictionary.hpp) is
 //     intersected against the observed failing windows/patterns; exact
 //     matches first, then nearest-neighbour Jaccard scoring for
 //     unmodeled defects. Candidates that cannot structurally reach every
 //     failing clock domain's MISR are pruned (multi-domain sessions).
-//  3. CONFIRM — the top stuck-at candidates are injected into a die copy
-//     and re-run through the cycle-accurate session; a candidate that
-//     reproduces the observed checkpoint trace bit-for-bit is confirmed.
+//  3. CONFIRM — the top stuck-at candidates re-run through the
+//     cycle-accurate session as the lanes of one lane session per 64
+//     (core::BistSession::runHypotheses), each lane bit-identical to a
+//     session on a die with its candidate injected; a candidate whose
+//     lane reproduces the observed interval trace bit-for-bit is
+//     confirmed.
 //
 // Stuck-at diagnosis runs its sessions single-capture, and the dictionary
 // is built with the staged-capture fault simulator
@@ -60,13 +66,14 @@ struct DiagnosisOptions {
   bool transition = false;
   /// Ranked candidates to report.
   size_t max_candidates = 10;
-  /// How many top candidates to confirm by injected session replay
+  /// How many top candidates to confirm by lane session replay
   /// (stuck-at universes only; transition faults cannot be hardwired).
   size_t confirm_top = 10;
-  /// Pin the first failing pattern by binary-search replay.
+  /// Pin the first failing pattern by binary-search replay when the
+  /// exact failing-pattern set is off or empty.
   bool locate_first_fail = true;
-  /// Re-run both sessions with per-pattern checkpoints to recover the
-  /// exact failing-pattern set (2 extra runs). Matching then happens at
+  /// Read the exact failing-pattern set off the per-pattern checkpoints
+  /// both sessions record anyway (no extra runs). Matching then happens at
   /// pattern granularity instead of window granularity — essential when
   /// a gross defect dirties every window and the window bitmap stops
   /// discriminating. Disable for the ATE-style windows-only flow.
@@ -139,8 +146,8 @@ class Diagnoser {
   Diagnoser(const core::BistReadyCore& core, DiagnosisOptions opts = {});
 
   /// Full flow against a (defective) die netlist: golden + failing
-  /// interval runs, window narrowing, binary-search replay, dictionary
-  /// match, injected-session confirmation.
+  /// per-pattern runs, window narrowing, dictionary match, lane-session
+  /// confirmation.
   [[nodiscard]] Diagnosis diagnoseDie(const Netlist& bad_die);
 
   /// Matching only, from an externally observed syndrome (e.g. ATE
@@ -163,10 +170,16 @@ class Diagnoser {
 
  private:
   [[nodiscard]] core::SessionOptions sessionOptions() const;
+  /// sessionOptions() with a checkpoint after every pattern.
+  [[nodiscard]] core::SessionOptions perPatternOptions() const;
+  /// The signature_interval view of a per-pattern run.
+  [[nodiscard]] core::SessionResult windowView(
+      const core::SessionResult& per_pattern) const;
   /// The session bound to the reference netlist, built on first use and
-  /// reused by every golden run and probe.
+  /// reused by every golden run, probe and confirmation pass.
   core::BistSession& goldenSession();
-  const core::SessionResult& goldenRun();
+  /// Runs the golden per-pattern run once and caches both of its views.
+  void ensureGolden();
   [[nodiscard]] Syndrome extractSyndrome(
       const core::SessionResult& golden,
       const core::SessionResult& failing) const;
@@ -177,7 +190,6 @@ class Diagnoser {
   void matchSyndrome(const Syndrome& syndrome, Diagnosis& out);
   void confirmCandidates(const core::SessionResult& observed,
                          Diagnosis& out);
-  [[nodiscard]] uint32_t domainReachMask(const fault::Fault& f) const;
 
   const core::BistReadyCore* core_;
   DiagnosisOptions opts_;
@@ -185,12 +197,14 @@ class Diagnoser {
   std::optional<ResponseDictionary> dict_;
   DictionaryBuildStats dict_stats_;
   std::optional<core::BistSession> golden_session_;
-  std::optional<core::SessionResult> golden_;
-  // Per DomainBist, per gate: 1 if the gate's sequential backward cone
-  // reaches that domain's MISR observation set (capture ordering lets
-  // fault effects hop domains through freshly captured state, so only
-  // the sequential closure is a safe filter).
-  std::vector<std::vector<uint8_t>> domain_reach_;
+  std::optional<core::SessionResult> golden_fine_;  // per-pattern run
+  std::optional<core::SessionResult> golden_;       // its window view
+  // Per fault, bit i set when the fault can corrupt DomainBist i's
+  // signature: its site's sequential backward cone reaches that domain's
+  // MISR observation set (capture ordering lets fault effects hop
+  // domains through freshly captured state, so only the sequential
+  // closure is a safe filter).
+  std::vector<uint32_t> reach_mask_;
 };
 
 /// Human-readable diagnosis report: verdict, syndrome, ranked sites with

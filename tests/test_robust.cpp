@@ -19,9 +19,12 @@
 #include "atpg/topup.hpp"
 #include "core/architect.hpp"
 #include "core/flow.hpp"
+#include "core/session.hpp"
 #include "dft/test_points.hpp"
+#include "diag/diagnoser.hpp"
 #include "diag/dictionary.hpp"
 #include "fault/fsim.hpp"
+#include "fault/inject.hpp"
 #include "gen/ipcore.hpp"
 #include "gen/refcircuits.hpp"
 #include "gen/soc.hpp"
@@ -1203,6 +1206,75 @@ TEST(DiagInputs, NonPositiveDictionaryPatternCountsThrow) {
       diag::buildResponseDictionary(ready, faults, 1);
   EXPECT_EQ(dict.patterns(), 1);
   EXPECT_EQ(dict.faults(), faults.size());
+}
+
+TEST(DiagInputs, MoreThan32BistedDomainsThrow) {
+  // Candidate pruning keeps one bit per BISTed domain in a uint32_t
+  // mask; a 33rd domain would shift past the word. The diagnoser refuses
+  // such a core up front instead.
+  core::LbistConfig cfg;
+  cfg.num_chains = 2;
+  cfg.tpi_method = core::TpiMethod::kNone;
+  cfg.test_points = 0;
+  core::BistReadyCore ready =
+      core::buildBistReadyCore(gen::buildCounter(6), cfg);
+  ready.domain_bist.resize(32, ready.domain_bist.front());
+  EXPECT_NO_THROW(diag::Diagnoser{ready});
+  ready.domain_bist.resize(33, ready.domain_bist.front());
+  EXPECT_THROW(diag::Diagnoser{ready}, std::invalid_argument);
+}
+
+TEST(LaneInputs, MalformedHypothesesThrow) {
+  core::LbistConfig cfg;
+  cfg.num_chains = 2;
+  cfg.tpi_method = core::TpiMethod::kNone;
+  cfg.test_points = 0;
+  const core::BistReadyCore ready =
+      core::buildBistReadyCore(gen::buildCounter(6), cfg);
+  const Netlist& nl = ready.netlist;
+  const GateId dff = nl.dffs().front();
+  using fault::Fault;
+  using fault::FaultType;
+  const std::vector<std::vector<Fault>> bad = {
+      {},                                                       // empty
+      {Fault{dff, fault::kOutputPin, FaultType::kSlowToRise}},  // transition
+      {Fault{GateId{static_cast<uint32_t>(nl.numGates())},
+             fault::kOutputPin, FaultType::kStuckAt0}},  // gate range
+      {Fault{GateId{}, fault::kOutputPin, FaultType::kStuckAt1}},
+      {Fault{dff, 1, FaultType::kStuckAt0}},  // a DFF has one pin
+      std::vector<Fault>(65, Fault{dff, fault::kOutputPin,
+                                   FaultType::kStuckAt1}),  // > 64 lanes
+  };
+  for (size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    Netlist die = nl;
+    EXPECT_THROW((void)fault::injectStuckAtLanes(die, bad[i]),
+                 std::invalid_argument);
+    EXPECT_EQ(die.numGates(), nl.numGates()) << "a rejected pass edits";
+  }
+
+  // The session rejects more lanes than a word has, and masks that are
+  // not primary inputs of the die.
+  core::BistSession good(ready, nl);
+  const std::vector<fault::LaneHypothesis> too_many(
+      65, fault::LaneHypothesis{nl.inputs()[0], nl.inputs()[1], false});
+  EXPECT_THROW(core::BistSession(ready, nl, too_many),
+               std::invalid_argument);
+  const fault::LaneHypothesis not_input{dff, nl.inputs()[0], true};
+  EXPECT_THROW(core::BistSession(ready, nl, {&not_input, 1}),
+               std::invalid_argument);
+
+  // runHypotheses forwards the checks, on either side of one pass.
+  core::SessionOptions opts;
+  opts.patterns = 2;
+  const Fault transition{dff, fault::kOutputPin, FaultType::kSlowToFall};
+  EXPECT_THROW((void)good.runHypotheses({&transition, 1}, opts),
+               std::invalid_argument);
+  std::vector<Fault> many(70, Fault{dff, fault::kOutputPin,
+                                    FaultType::kStuckAt0});
+  many.back().pin = 3;
+  EXPECT_THROW((void)good.runHypotheses(many, opts), std::invalid_argument);
+  EXPECT_TRUE(good.runHypotheses({}, opts).empty());
 }
 
 // ------------------------------------------------- harness completeness
