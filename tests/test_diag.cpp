@@ -428,6 +428,44 @@ TEST(Diagnosis, PinnedOutcomeDigests) {
   }
 }
 
+TEST(Diagnoser, ConfirmsMoreThan64CandidatesLikeInjectedDies) {
+  // A gross defect ties well over 64 candidates, so confirming 80 of
+  // them takes several lane passes. Each confirmation must be what
+  // replaying that candidate's own injected die would say.
+  const core::BistReadyCore ready = threeDomainCore();
+  DiagnosisOptions o = baseOptions(16, 1);
+  o.max_candidates = 80;
+  o.confirm_top = 80;
+  Diagnoser diag(ready, o);
+  const fault::Fault defect = diag.faults().record(3).fault;
+  Netlist bad = ready.netlist;
+  fault::injectStuckAt(bad, defect);
+  const Diagnosis d = diag.diagnoseDie(bad);
+  ASSERT_EQ(d.candidates.size(), 80u);
+  // The golden and failing runs, then at least two lane passes.
+  EXPECT_GE(d.session_runs, 4u);
+
+  core::SessionOptions so;
+  so.patterns = o.patterns;
+  so.signature_interval = o.signature_interval;
+  bist::AtSpeedTimingConfig timing = ready.config.timing;
+  timing.double_capture = false;
+  so.timing_override = timing;
+  const core::SessionResult observed = core::BistSession(ready, bad).run(so);
+  size_t confirmed = 0;
+  for (const Candidate& c : d.candidates) {
+    Netlist die = ready.netlist;
+    fault::injectStuckAt(die, c.fault);
+    const core::SessionResult replay = core::BistSession(ready, die).run(so);
+    EXPECT_EQ(c.confirmed,
+              replay.signature_words == observed.signature_words &&
+                  replay.checkpoints == observed.checkpoints)
+        << c.description;
+    confirmed += c.confirmed ? 1 : 0;
+  }
+  EXPECT_GE(confirmed, 1u);
+}
+
 TEST(Diagnoser, ReportRendersRankedSites) {
   const core::BistReadyCore ready = makeCore(gen::buildCounter(8));
   Diagnoser diag(ready, baseOptions(16, 1));
