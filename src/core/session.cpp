@@ -1,5 +1,6 @@
 #include "core/session.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "obs/obs.hpp"
@@ -60,14 +61,19 @@ BistSession::BistSession(const BistReadyCore& core, const Netlist& die,
   // to 1; only the SI ports (PRPG data), SE and the lane masks that
   // differ between lanes are not fixed.
   std::vector<uint8_t> driven(die.numGates(), 0);
+  std::vector<GateId> scan_cells;
   for (const dft::ScanChain& chain : core.scan.chains) {
     driven[chain.si_port.v] = 1;
+    scan_cells.insert(scan_cells.end(), chain.cells.begin(),
+                      chain.cells.end());
   }
   driven[core.scan.se_port.v] = 1;
   const std::optional<GateId> tm_named = die.findGateByName("test_mode");
   for (GateId pi : die.inputs()) {
     if (driven[pi.v] != 0) continue;
     if (is_mask[pi.v] != 0) {
+      // A mask uniform across the used lanes is a run constant; unused
+      // lanes then follow it, and no result reads them.
       const uint64_t w = mask_word[pi.v] & used;
       if (w != 0 && w != used) {
         lane_masks_.emplace_back(pi, mask_word[pi.v]);
@@ -82,7 +88,7 @@ BistSession::BistSession(const BistReadyCore& core, const Netlist& die,
 
   // The scan cells are all the session observes (the SO reads). SE is
   // high on every shift edge and low on every launch and capture edge.
-  const sim::PulseAnalysis analysis(sim_, held_, scanCells());
+  const sim::PulseAnalysis analysis(sim_, held_, scan_cells);
   const sim::HeldInput se_high{core.scan.se_port, true};
   const sim::HeldInput se_low{core.scan.se_port, false};
   std::vector<DomainId> all;
@@ -92,14 +98,6 @@ BistSession::BistSession(const BistReadyCore& core, const Netlist& die,
         analysis.program({&all.back(), 1}, {&se_low, 1}));
   }
   shift_program_ = analysis.program(all, {&se_high, 1});
-}
-
-std::vector<GateId> BistSession::scanCells() const {
-  std::vector<GateId> cells;
-  for (const dft::ScanChain& chain : core_->scan.chains) {
-    cells.insert(cells.end(), chain.cells.begin(), chain.cells.end());
-  }
-  return cells;
 }
 
 void BistSession::pulse(const sim::PulseProgram& program) {
@@ -246,10 +244,10 @@ std::vector<SessionResult> BistSession::runHypotheses(
   // programs of every lane of its pass (a variable scan enable pulls the
   // functional cone into the shift program), so such hypotheses fill
   // passes of their own instead of one in each pass.
-  std::vector<std::vector<size_t>> groups;
+  std::vector<size_t> shared;
+  std::vector<size_t> control;
   if (hypotheses.size() <= fault::kMaxLaneHypotheses) {
-    if (!hypotheses.empty()) groups.emplace_back();
-    for (size_t h = 0; h < hypotheses.size(); ++h) groups[0].push_back(h);
+    for (size_t h = 0; h < hypotheses.size(); ++h) shared.push_back(h);
   } else {
     const sim::PulseAnalysis analysis(sim_, held_, {});
     const sim::HeldInput se_high{core_->scan.se_port, true};
@@ -257,45 +255,34 @@ std::vector<SessionResult> BistSession::runHypotheses(
     const std::vector<uint8_t> shift_lv = analysis.pulseLevels({&se_high, 1});
     const std::vector<uint8_t> capture_lv =
         analysis.pulseLevels({&se_low, 1});
-    std::vector<size_t> control;
-    std::vector<size_t> shared;
     for (size_t h = 0; h < hypotheses.size(); ++h) {
-      const fault::Fault& f = hypotheses[h];
-      if (!f.gate.valid() || f.gate.v >= die_->numGates() ||
-          (f.pin != fault::kOutputPin &&
-           f.pin >= die_->gate(f.gate).fanins.size())) {
-        throw std::invalid_argument("runHypotheses: site out of range");
-      }
-      const GateId net = f.pin == fault::kOutputPin
-                             ? f.gate
-                             : die_->gate(f.gate).fanins[f.pin];
+      const GateId net = fault::faultSiteNet(*die_, hypotheses[h]);
       const bool held = shift_lv[net.v] != sim::PulseAnalysis::kVariable ||
                         capture_lv[net.v] != sim::PulseAnalysis::kVariable;
       (held ? control : shared).push_back(h);
-    }
-    for (const std::vector<size_t>* list : {&shared, &control}) {
-      for (size_t b = 0; b < list->size(); b += fault::kMaxLaneHypotheses) {
-        const size_t e =
-            std::min(list->size(), b + fault::kMaxLaneHypotheses);
-        groups.emplace_back(list->begin() + b, list->begin() + e);
-      }
     }
   }
 
   std::vector<SessionResult> out(hypotheses.size());
   std::vector<fault::Fault> pass;
-  for (const std::vector<size_t>& group : groups) {
-    pass.clear();
-    for (size_t h : group) pass.push_back(hypotheses[h]);
-    Netlist die = *die_;
-    const std::vector<fault::LaneHypothesis> lanes =
-        fault::injectStuckAtLanes(die, pass);
-    std::vector<SessionResult> res =
-        BistSession(*core_, die, lanes).runLanes(opts);
-    for (size_t k = 0; k < group.size(); ++k) {
-      out[group[k]] = std::move(res[k]);
+  for (const std::vector<size_t>* list : {&shared, &control}) {
+    for (size_t b = 0; b < list->size(); b += fault::kMaxLaneHypotheses) {
+      const size_t n =
+          std::min(fault::kMaxLaneHypotheses, list->size() - b);
+      pass.clear();
+      for (size_t k = 0; k < n; ++k) {
+        pass.push_back(hypotheses[(*list)[b + k]]);
+      }
+      Netlist die = *die_;
+      const std::vector<fault::LaneHypothesis> lanes =
+          fault::injectStuckAtLanes(die, pass);
+      std::vector<SessionResult> res =
+          BistSession(*core_, die, lanes).runLanes(opts);
+      for (size_t k = 0; k < n; ++k) {
+        out[(*list)[b + k]] = std::move(res[k]);
+      }
+      if (passes != nullptr) ++*passes;
     }
-    if (passes != nullptr) ++*passes;
   }
   return out;
 }

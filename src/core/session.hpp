@@ -153,8 +153,6 @@ class BistSession {
   void shiftCycle();
   void seedPrpgs();
   void pulse(const sim::PulseProgram& program);
-  /// The scan cells: every DFF the session reads.
-  [[nodiscard]] std::vector<GateId> scanCells() const;
 
   const BistReadyCore* core_;
   const Netlist* die_;

@@ -27,6 +27,14 @@ void injectStuckAt(Netlist& nl, const Fault& f) {
   }
 }
 
+GateId faultSiteNet(const Netlist& nl, const Fault& f) {
+  if (!f.gate.valid() || f.gate.v >= nl.numGates() ||
+      (f.pin != kOutputPin && f.pin >= nl.gate(f.gate).fanins.size())) {
+    throw std::invalid_argument("fault site out of range");
+  }
+  return f.pin == kOutputPin ? f.gate : nl.gate(f.gate).fanins[f.pin];
+}
+
 std::vector<LaneHypothesis> injectStuckAtLanes(
     Netlist& nl, std::span<const Fault> hypotheses) {
   if (hypotheses.empty() || hypotheses.size() > kMaxLaneHypotheses) {
@@ -38,10 +46,7 @@ std::vector<LaneHypothesis> injectStuckAtLanes(
       throw std::invalid_argument(
           "injectStuckAtLanes: only stuck-at faults have lanes");
     }
-    if (!f.gate.valid() || f.gate.v >= nl.numGates() ||
-        (f.pin != kOutputPin && f.pin >= nl.gate(f.gate).fanins.size())) {
-      throw std::invalid_argument("injectStuckAtLanes: site out of range");
-    }
+    (void)faultSiteNet(nl, f);
   }
   // One force cell per distinct (gate, pin) site. Each lane carries one
   // hypothesis, so when two sites chain (an output fault feeding a pin
@@ -54,8 +59,7 @@ std::vector<LaneHypothesis> injectStuckAtLanes(
     if (fresh) {
       const GateId keep = nl.addInput({});
       const GateId force = nl.addInput({});
-      const GateId site =
-          f.pin == kOutputPin ? f.gate : nl.gate(f.gate).fanins[f.pin];
+      const GateId site = faultSiteNet(nl, f);
       const GateId masked = nl.addGate(CellKind::kAnd, {site, keep});
       const GateId cell = nl.addGate(CellKind::kOr, {masked, force});
       if (f.pin == kOutputPin) {
