@@ -32,10 +32,12 @@
 // input that is uniform across the pass's lanes is held like a run
 // constant, so a one-hypothesis pass prunes its programs exactly as the
 // injected constant would. A good die is the zero-hypothesis case of the
-// same code. runHypotheses() groups hypotheses into passes: one whose
-// site some pulse holds constant (scan enable, test_mode, scan-mux
-// selects, X-bounding gates) would widen every lane's programs, so it
-// runs alone; all others share 64-lane passes.
+// same code. runHypotheses() groups hypotheses into passes. Every op
+// evaluates all 64 lanes at once, so up to 64 hypotheses always share one
+// pass. Beyond that, hypotheses whose site some pulse holds constant
+// (scan enable, test_mode, scan-mux selects, X-bounding gates) would
+// widen the programs of every lane they join, so they fill passes of
+// their own.
 #pragma once
 
 #include <cstdint>

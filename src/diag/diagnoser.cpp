@@ -321,21 +321,15 @@ void Diagnoser::matchSyndrome(const Syndrome& syndrome, Diagnosis& out) {
 
   // A total order (fault index breaks every tie), so the kept prefix does
   // not depend on the sort algorithm.
-  const size_t keep = std::min(opts_.max_candidates, all.size());
-  std::partial_sort(
-      all.begin(), all.begin() + std::max<size_t>(keep, all.empty() ? 0 : 1),
-      all.end(), [](const Ranked& a, const Ranked& b) {
-        if (a.exact_match != b.exact_match) return a.exact_match;
-        if (a.first_fail_match != b.first_fail_match) {
-          return a.first_fail_match;
-        }
-        if (a.score != b.score) return a.score > b.score;
-        return a.fault_index < b.fault_index;
-      });
-
+  const auto better = [](const Ranked& a, const Ranked& b) {
+    if (a.exact_match != b.exact_match) return a.exact_match;
+    if (a.first_fail_match != b.first_fail_match) return a.first_fail_match;
+    if (a.score != b.score) return a.score > b.score;
+    return a.fault_index < b.fault_index;
+  };
   out.tied_top = 0;
   if (!all.empty()) {
-    const Ranked& top = all.front();
+    const Ranked top = *std::min_element(all.begin(), all.end(), better);
     for (const Ranked& r : all) {
       if (r.exact_match == top.exact_match &&
           r.first_fail_match == top.first_fail_match &&
@@ -344,6 +338,8 @@ void Diagnoser::matchSyndrome(const Syndrome& syndrome, Diagnosis& out) {
       }
     }
   }
+  const size_t keep = std::min(opts_.max_candidates, all.size());
+  std::partial_sort(all.begin(), all.begin() + keep, all.end(), better);
   out.candidates.clear();
   for (size_t k = 0; k < keep; ++k) {
     const Ranked& r = all[k];
