@@ -219,12 +219,10 @@ double Odc::gateEquivalents() const {
 
 LaneOdc::LaneOdc(const OdcConfig& cfg) {
   const Odc serial(cfg);  // validates the configuration
-  // With a compactor, chain j feeds MISR input j % m (SpaceCompactor).
-  const int m = serial.compactor() != nullptr
-                    ? serial.compactor()->misrInputs()
-                    : cfg.misr_length;
+  const SpaceCompactor* compactor = serial.compactor();
   for (int j = 0; j < cfg.chains; ++j) {
-    input_cell_.push_back(static_cast<uint32_t>(j % m));
+    input_cell_.push_back(static_cast<uint32_t>(
+        compactor != nullptr ? compactor->misrInputOf(j) : j));
   }
   uint32_t offset = 0;
   for (int len : WideMisr::segmentLengths(cfg.misr_length)) {

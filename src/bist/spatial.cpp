@@ -64,7 +64,7 @@ void SpaceCompactor::apply(std::span<const uint8_t> chain_out,
   }
   for (int i = 0; i < misr_; ++i) misr_in[static_cast<size_t>(i)] = 0;
   for (int j = 0; j < chains_; ++j) {
-    misr_in[static_cast<size_t>(j % misr_)] ^=
+    misr_in[static_cast<size_t>(misrInputOf(j))] ^=
         chain_out[static_cast<size_t>(j)] & 1u;
   }
 }
@@ -72,7 +72,7 @@ void SpaceCompactor::apply(std::span<const uint8_t> chain_out,
 uint64_t SpaceCompactor::applyPacked(uint64_t chain_bits) const {
   uint64_t out = 0;
   for (int j = 0; j < chains_; ++j) {
-    out ^= ((chain_bits >> j) & 1u) << (j % misr_);
+    out ^= ((chain_bits >> j) & 1u) << misrInputOf(j);
   }
   return out;
 }

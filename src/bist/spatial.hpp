@@ -46,6 +46,8 @@ class SpaceCompactor {
 
   [[nodiscard]] int chainOutputs() const { return chains_; }
   [[nodiscard]] int misrInputs() const { return misr_; }
+  /// The MISR input chain output `chain` feeds (chain mod misrInputs()).
+  [[nodiscard]] int misrInputOf(int chain) const { return chain % misr_; }
 
   void apply(std::span<const uint8_t> chain_out,
              std::span<uint8_t> misr_in) const;

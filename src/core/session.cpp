@@ -31,15 +31,34 @@ BistSession::BistSession(const BistReadyCore& core, const Netlist& die,
     so_words_.emplace_back(db.chain_indices.size(), 0);
   }
 
+  // Run constants: run() drives every primary input to 0 and test_mode
+  // to 1; only the SI ports (PRPG data), SE and the lane masks that
+  // differ between lanes are not fixed.
+  std::vector<uint8_t> driven(die.numGates(), 0);
+  std::vector<GateId> scan_cells;
+  for (const dft::ScanChain& chain : core.scan.chains) {
+    driven[chain.si_port.v] = 1;
+    scan_cells.insert(scan_cells.end(), chain.cells.begin(),
+                      chain.cells.end());
+  }
+  driven[core.scan.se_port.v] = 1;
+  const std::optional<GateId> tm_named = die.findGateByName("test_mode");
+  auto isTestMode = [&](GateId pi) {
+    return pi == core.scan.test_mode_port || pi == tm_named;
+  };
+
   // Lane masks: keep words start all ones and force words all zeros (the
   // good machine, which unused lanes stay); each lane clears its keep
-  // bit or sets its force bit.
+  // bit or sets its force bit. A mask must be a primary input the session
+  // neither drives nor holds as test_mode, or the run would override it.
   std::vector<uint8_t> is_mask(die.numGates(), 0);
   std::vector<uint64_t> mask_word(die.numGates(), 0);
   auto claim = [&](GateId g, uint64_t init) {
     if (!g.valid() || g.v >= die.numGates() ||
-        die.gate(g).kind != CellKind::kInput) {
-      throw std::invalid_argument("lane mask is not a primary input");
+        die.gate(g).kind != CellKind::kInput || driven[g.v] != 0 ||
+        isTestMode(g)) {
+      throw std::invalid_argument(
+          "lane mask is not a free primary input of the die");
     }
     if (is_mask[g.v] == 0) mask_word[g.v] = init;
     is_mask[g.v] = 1;
@@ -57,18 +76,6 @@ BistSession::BistSession(const BistReadyCore& core, const Netlist& die,
   const uint64_t used =
       lanes_ == 64 ? ~uint64_t{0} : (uint64_t{1} << lanes_) - 1;
 
-  // Run constants: run() drives every primary input to 0 and test_mode
-  // to 1; only the SI ports (PRPG data), SE and the lane masks that
-  // differ between lanes are not fixed.
-  std::vector<uint8_t> driven(die.numGates(), 0);
-  std::vector<GateId> scan_cells;
-  for (const dft::ScanChain& chain : core.scan.chains) {
-    driven[chain.si_port.v] = 1;
-    scan_cells.insert(scan_cells.end(), chain.cells.begin(),
-                      chain.cells.end());
-  }
-  driven[core.scan.se_port.v] = 1;
-  const std::optional<GateId> tm_named = die.findGateByName("test_mode");
   for (GateId pi : die.inputs()) {
     if (driven[pi.v] != 0) continue;
     if (is_mask[pi.v] != 0) {
@@ -82,8 +89,7 @@ BistSession::BistSession(const BistReadyCore& core, const Netlist& die,
       held_.push_back(sim::HeldInput{pi, w != 0});
       continue;
     }
-    held_.push_back(sim::HeldInput{
-        pi, pi == core.scan.test_mode_port || pi == tm_named});
+    held_.push_back(sim::HeldInput{pi, isTestMode(pi)});
   }
 
   // The scan cells are all the session observes (the SO reads). SE is
@@ -137,9 +143,6 @@ void BistSession::shiftCycle() {
 
 SessionResult BistSession::run(const SessionOptions& opts,
                                const SessionResult* golden) {
-  if (lanes_ != 1) {
-    throw std::logic_error("BistSession::run: use runLanes for lanes");
-  }
   return std::move(runLanes(opts, golden).front());
 }
 
@@ -238,51 +241,19 @@ std::vector<SessionResult> BistSession::runLanes(
 std::vector<SessionResult> BistSession::runHypotheses(
     std::span<const fault::Fault> hypotheses, const SessionOptions& opts,
     size_t* passes) const {
-  // Every op evaluates all 64 lanes at once, so a pass costs the union of
-  // its lanes' programs: everything that fits runs in one pass. Beyond
-  // that, a hypothesis whose site some pulse holds constant widens the
-  // programs of every lane of its pass (a variable scan enable pulls the
-  // functional cone into the shift program), so such hypotheses fill
-  // passes of their own instead of one in each pass.
-  std::vector<size_t> shared;
-  std::vector<size_t> control;
-  if (hypotheses.size() <= fault::kMaxLaneHypotheses) {
-    for (size_t h = 0; h < hypotheses.size(); ++h) shared.push_back(h);
-  } else {
-    const sim::PulseAnalysis analysis(sim_, held_, {});
-    const sim::HeldInput se_high{core_->scan.se_port, true};
-    const sim::HeldInput se_low{core_->scan.se_port, false};
-    const std::vector<uint8_t> shift_lv = analysis.pulseLevels({&se_high, 1});
-    const std::vector<uint8_t> capture_lv =
-        analysis.pulseLevels({&se_low, 1});
-    for (size_t h = 0; h < hypotheses.size(); ++h) {
-      const GateId net = fault::faultSiteNet(*die_, hypotheses[h]);
-      const bool held = shift_lv[net.v] != sim::PulseAnalysis::kVariable ||
-                        capture_lv[net.v] != sim::PulseAnalysis::kVariable;
-      (held ? control : shared).push_back(h);
+  std::vector<SessionResult> out;
+  out.reserve(hypotheses.size());
+  constexpr size_t kLanes = fault::kMaxLaneHypotheses;
+  for (size_t b = 0; b < hypotheses.size(); b += kLanes) {
+    const std::span<const fault::Fault> pass =
+        hypotheses.subspan(b, std::min(kLanes, hypotheses.size() - b));
+    Netlist die = *die_;
+    const std::vector<fault::LaneHypothesis> lanes =
+        fault::injectStuckAtLanes(die, pass);
+    for (SessionResult& r : BistSession(*core_, die, lanes).runLanes(opts)) {
+      out.push_back(std::move(r));
     }
-  }
-
-  std::vector<SessionResult> out(hypotheses.size());
-  std::vector<fault::Fault> pass;
-  for (const std::vector<size_t>* list : {&shared, &control}) {
-    for (size_t b = 0; b < list->size(); b += fault::kMaxLaneHypotheses) {
-      const size_t n =
-          std::min(fault::kMaxLaneHypotheses, list->size() - b);
-      pass.clear();
-      for (size_t k = 0; k < n; ++k) {
-        pass.push_back(hypotheses[(*list)[b + k]]);
-      }
-      Netlist die = *die_;
-      const std::vector<fault::LaneHypothesis> lanes =
-          fault::injectStuckAtLanes(die, pass);
-      std::vector<SessionResult> res =
-          BistSession(*core_, die, lanes).runLanes(opts);
-      for (size_t k = 0; k < n; ++k) {
-        out[(*list)[b + k]] = std::move(res[k]);
-      }
-      if (passes != nullptr) ++*passes;
-    }
+    if (passes != nullptr) ++*passes;
   }
   return out;
 }

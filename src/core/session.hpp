@@ -21,23 +21,18 @@
 // shift program; a freed X-bounding AND makes its non-scan flop live), so
 // signatures and checkpoints are bit-identical to full-evaluation pulses.
 //
-// Lanes. The simulator evaluates 64-bit words, and a session can give
-// each bit lane its own die: a lane session runs a netlist from
-// fault::injectStuckAtLanes, where lane l carries stuck-at hypothesis l
-// (up to 64) and the PRPG stimulus is broadcast to every lane. Shift
-// edges feed whole scan-out words into bit-sliced ODCs (bist::LaneOdc),
-// so runLanes() returns one result per lane, and lane l's signatures and
-// checkpoints are bit-identical to a one-lane session on injectStuckAt's
-// die of hypothesis l (Session.LaneHypothesesMatchInjectedDies). A mask
-// input that is uniform across the pass's lanes is held like a run
-// constant, so a one-hypothesis pass prunes its programs exactly as the
-// injected constant would. A good die is the zero-hypothesis case of the
-// same code. runHypotheses() groups hypotheses into passes. Every op
-// evaluates all 64 lanes at once, so up to 64 hypotheses always share one
-// pass. Beyond that, hypotheses whose site some pulse holds constant
-// (scan enable, test_mode, scan-mux selects, X-bounding gates) would
-// widen the programs of every lane they join, so they fill passes of
-// their own.
+// Lanes. The simulator evaluates 64-bit words, and runHypotheses() gives
+// each bit lane its own die: it copies the die once per pass of up to 64
+// stuck-at hypotheses, in order, and lets fault::injectStuckAtLanes add
+// one force cell per site, so lane l carries hypothesis l while the PRPG
+// stimulus is broadcast to every lane. Shift edges feed whole scan-out
+// words into bit-sliced ODCs (bist::LaneOdc), and lane l's signatures and
+// checkpoints are bit-identical to a session on injectStuckAt's die of
+// hypothesis l (Session.LaneHypothesesMatchInjectedDies). A mask input
+// that is uniform across the pass's lanes is held like a run constant,
+// so a one-hypothesis pass prunes its programs exactly as the injected
+// constant would. A good die is the zero-hypothesis case of the same
+// code.
 #pragma once
 
 #include <cstdint>
@@ -108,8 +103,8 @@ struct SessionResult {
   bool result_pass = false;
 };
 
-/// Cycle-accurate self-test of one die, or of up to 64 stuck-at
-/// hypotheses at once, against one BIST-ready core.
+/// Cycle-accurate self-test of one die against one BIST-ready core;
+/// runHypotheses() runs stuck-at hypotheses on that die 64 at a time.
 class BistSession {
  public:
   /// `die` is the netlist to simulate — pass `core.netlist` for a good
@@ -118,40 +113,36 @@ class BistSession {
   /// (same ports and scan fabric).
   BistSession(const BistReadyCore& core, const Netlist& die);
 
-  /// A lane session: `die` comes from fault::injectStuckAtLanes and
-  /// `lanes` is what it returned; lane l runs hypothesis l. An empty
-  /// `lanes` is a one-lane session of `die` itself. Throws
-  /// std::invalid_argument for more than 64 lanes or a mask that is not
-  /// a primary input of `die`.
-  BistSession(const BistReadyCore& core, const Netlist& die,
-              std::span<const fault::LaneHypothesis> lanes);
-
-  /// Lanes a run reports: max(1, hypotheses).
-  [[nodiscard]] size_t lanes() const { return lanes_; }
-
-  /// Runs a full self-test and returns one result per lane. When
-  /// `golden` is non-null the controller compares every lane against it
-  /// and SessionResult::result_pass is meaningful. Every run starts from
-  /// reset (DFFs, inputs, PRPGs, MISRs), so one session may run any
-  /// number of times with any options.
-  [[nodiscard]] std::vector<SessionResult> runLanes(
-      const SessionOptions& opts, const SessionResult* golden = nullptr);
-
-  /// runLanes() of a one-lane session. Throws std::logic_error when the
-  /// session has more than one lane.
+  /// Runs a full self-test. When `golden` is non-null the controller
+  /// compares against it and SessionResult::result_pass is meaningful.
+  /// Every run starts from reset (DFFs, inputs, PRPGs, MISRs), so one
+  /// session may run any number of times with any options.
   [[nodiscard]] SessionResult run(const SessionOptions& opts,
                                   const SessionResult* golden = nullptr);
 
   /// Runs each stuck-at hypothesis on this session's die as one lane of
-  /// a die copy (see the file comment for the grouping), and returns one
-  /// result per hypothesis, in order. Adds the number of lane sessions
-  /// run to `*passes` when non-null. Throws like injectStuckAtLanes for
-  /// an invalid hypothesis.
+  /// a die copy, in passes of up to 64 in order, and returns one result
+  /// per hypothesis, in order (no verdict: result_pass is false). Adds
+  /// the number of passes run to `*passes` when non-null. Throws like
+  /// injectStuckAtLanes for an invalid hypothesis.
   [[nodiscard]] std::vector<SessionResult> runHypotheses(
       std::span<const fault::Fault> hypotheses, const SessionOptions& opts,
       size_t* passes = nullptr) const;
 
  private:
+  /// A lane session: `die` comes from fault::injectStuckAtLanes and
+  /// `lanes` is what it returned; lane l runs hypothesis l. An empty
+  /// `lanes` is a one-lane session of `die` itself. Throws
+  /// std::invalid_argument for more than 64 lanes or a mask that is not
+  /// a primary input the run leaves free.
+  BistSession(const BistReadyCore& core, const Netlist& die,
+              std::span<const fault::LaneHypothesis> lanes);
+
+  /// Runs a full self-test and returns one result per lane, each
+  /// compared against `golden` as run() states.
+  [[nodiscard]] std::vector<SessionResult> runLanes(
+      const SessionOptions& opts, const SessionResult* golden = nullptr);
+
   void shiftCycle();
   void seedPrpgs();
   void pulse(const sim::PulseProgram& program);

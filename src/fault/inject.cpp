@@ -12,6 +12,17 @@ bool isStuckAt(const Fault& f) {
   return f.type == FaultType::kStuckAt0 || f.type == FaultType::kStuckAt1;
 }
 
+/// The net a stuck-at at `f` forces: the gate itself for an output
+/// fault, the driver of the pin for a pin fault. Throws
+/// std::invalid_argument when the gate or the pin is out of range.
+GateId faultSiteNet(const Netlist& nl, const Fault& f) {
+  if (!f.gate.valid() || f.gate.v >= nl.numGates() ||
+      (f.pin != kOutputPin && f.pin >= nl.gate(f.gate).fanins.size())) {
+    throw std::invalid_argument("fault site out of range");
+  }
+  return f.pin == kOutputPin ? f.gate : nl.gate(f.gate).fanins[f.pin];
+}
+
 }  // namespace
 
 void injectStuckAt(Netlist& nl, const Fault& f) {
@@ -25,14 +36,6 @@ void injectStuckAt(Netlist& nl, const Fault& f) {
   } else {
     nl.setFanin(f.gate, f.pin, tied);
   }
-}
-
-GateId faultSiteNet(const Netlist& nl, const Fault& f) {
-  if (!f.gate.valid() || f.gate.v >= nl.numGates() ||
-      (f.pin != kOutputPin && f.pin >= nl.gate(f.gate).fanins.size())) {
-    throw std::invalid_argument("fault site out of range");
-  }
-  return f.pin == kOutputPin ? f.gate : nl.gate(f.gate).fanins[f.pin];
 }
 
 std::vector<LaneHypothesis> injectStuckAtLanes(

@@ -26,11 +26,6 @@ namespace lbist::fault {
 /// are rejected.
 void injectStuckAt(Netlist& nl, const Fault& f);
 
-/// The net a stuck-at at `f` forces: the gate itself for an output
-/// fault, the driver of the pin for a pin fault. Throws
-/// std::invalid_argument when the gate or the pin is out of range.
-[[nodiscard]] GateId faultSiteNet(const Netlist& nl, const Fault& f);
-
 /// The mask inputs that select one hypothesis's lane at its site's force
 /// cell (keep AND site) OR force.
 struct LaneHypothesis {

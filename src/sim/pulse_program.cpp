@@ -10,7 +10,7 @@ namespace lbist::sim {
 
 namespace {
 
-constexpr uint8_t kVariable = PulseAnalysis::kVariable;
+constexpr uint8_t kVariable = 2;
 
 /// Calls `fn(gate)` for each needed fanin of op `op` under `lv` (see the
 /// file comment of pulse_program.hpp for the pruning rules).
@@ -150,28 +150,18 @@ std::vector<uint8_t> PulseAnalysis::levels(
   return lv;
 }
 
-std::vector<HeldInput> PulseAnalysis::pulseHeld(
-    std::span<const HeldInput> pulse_held) const {
-  std::vector<uint8_t> seen(sim_->netlist().numGates(), 0);
-  for (const HeldInput& h : run_held_) seen[h.gate.v] = 1;
-  checkHeld(sim_->netlist(), pulse_held, seen);
-  std::vector<HeldInput> held = run_held_;
-  held.insert(held.end(), pulse_held.begin(), pulse_held.end());
-  return held;
-}
-
-std::vector<uint8_t> PulseAnalysis::pulseLevels(
-    std::span<const HeldInput> pulse_held) const {
-  return levels(pulseHeld(pulse_held));
-}
-
 PulseProgram PulseAnalysis::program(
     std::span<const DomainId> domains,
     std::span<const HeldInput> pulse_held) const {
   const Netlist& nl = sim_->netlist();
   const CompiledNetlist& c = sim_->compiled();
+  std::vector<uint8_t> seen(nl.numGates(), 0);
+  for (const HeldInput& h : run_held_) seen[h.gate.v] = 1;
+  checkHeld(nl, pulse_held, seen);
+
   PulseProgram p;
-  p.held = pulseHeld(pulse_held);
+  p.held = run_held_;
+  p.held.insert(p.held.end(), pulse_held.begin(), pulse_held.end());
   const std::vector<uint8_t> lv = levels(p.held);
 
   std::vector<uint8_t> visited(nl.numGates(), 0);

@@ -79,15 +79,6 @@ class PulseAnalysis {
   PulseAnalysis(const SeqSimulator& sim, std::span<const HeldInput> run_held,
                 std::span<const GateId> observed);
 
-  /// Level of a gate no held input or tie cell fixes.
-  static constexpr uint8_t kVariable = 2;
-
-  /// Per-gate levels (0, 1, or kVariable) under the run constants plus
-  /// `pulse_held` (the levels the matching program() is built under).
-  /// Throws like program() does.
-  [[nodiscard]] std::vector<uint8_t> pulseLevels(
-      std::span<const HeldInput> pulse_held) const;
-
   /// Every live DFF, in netlist DFF order.
   [[nodiscard]] const std::vector<GateId>& liveDffs() const {
     return live_dffs_;
@@ -101,9 +92,6 @@ class PulseAnalysis {
       std::span<const HeldInput> pulse_held) const;
 
  private:
-  /// The run constants plus `pulse_held`, checked as program() states.
-  [[nodiscard]] std::vector<HeldInput> pulseHeld(
-      std::span<const HeldInput> pulse_held) const;
   /// Per-gate levels (0, 1, or kVariable) with `held` inputs fixed.
   [[nodiscard]] std::vector<uint8_t> levels(
       std::span<const HeldInput> held) const;

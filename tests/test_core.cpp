@@ -2,9 +2,7 @@
 // flow, JTAG-driven LbistTop, and Table 1 reporting.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -358,36 +356,15 @@ TEST(Session, ReusedSessionMatchesFreshSession) {
   }
 }
 
-/// Lane l of a lane session must be the session of injectStuckAt's die
-/// of hypothesis l, bit for bit: signatures, every interval-1 checkpoint,
-/// and the verdict against `golden` (nullptr: none).
-void expectLaneMatchesInjectedDie(const BistReadyCore& ready,
-                                  const fault::Fault& f,
-                                  const SessionOptions& opts,
-                                  const SessionResult* golden,
-                                  const SessionResult& lane) {
-  Netlist die = ready.netlist;
-  fault::injectStuckAt(die, f);
-  const SessionResult want = BistSession(ready, die).run(opts, golden);
-  SCOPED_TRACE(f.describe(ready.netlist));
-  EXPECT_EQ(lane.signatures, want.signatures);
-  EXPECT_EQ(lane.signature_words, want.signature_words);
-  EXPECT_EQ(lane.checkpoints, want.checkpoints);
-  EXPECT_EQ(lane.result_pass, want.result_pass);
-  EXPECT_EQ(lane.finish, want.finish);
-  EXPECT_EQ(lane.shift_pulses, want.shift_pulses);
-  EXPECT_EQ(lane.capture_pulses, want.capture_pulses);
-}
-
 // The lane contract over a whole stuck-at universe: every fault of a
-// small three-domain core runs as a lane, in passes of up to 64 lanes in
-// universe order (control sites share passes with functional ones), and
-// again through runHypotheses' grouping (more than 64 hypotheses, so
-// several shared passes plus the solo control-site passes). The sites
-// whose faults change what the pulse programs prune are named first so
-// they are covered whatever the enumeration keeps: scan enable,
-// test_mode, a scan-mux select, a scan cell's output, a chain's scan-out
-// cell and an X-bounding gate.
+// small three-domain core runs as a lane through runHypotheses, in passes
+// of 64 in universe order, and lane l must be the session of
+// injectStuckAt's die of hypothesis l, bit for bit: signatures, every
+// interval-1 checkpoint and pulse counts. The sites whose faults change
+// what the pulse programs prune are named first so they are covered
+// whatever the enumeration keeps, and share a pass with functional
+// sites: scan enable, test_mode, a scan-mux select, a scan cell's
+// output, a chain's scan-out cell and an X-bounding gate.
 TEST(Session, LaneHypothesesMatchInjectedDies) {
   gen::IpCoreSpec spec;
   spec.seed = 77;
@@ -435,35 +412,23 @@ TEST(Session, LaneHypothesesMatchInjectedDies) {
   SessionOptions opts;
   opts.patterns = 10;
   opts.signature_interval = 1;
-  BistSession good(ready, nl);
-  const SessionResult golden = good.run(opts);
-
-  for (size_t b = 0; b < hypotheses.size(); b += 64) {
-    const size_t e = std::min(hypotheses.size(), b + 64);
-    const std::span<const Fault> pass(hypotheses.data() + b, e - b);
-    Netlist die = nl;
-    const std::vector<fault::LaneHypothesis> lanes =
-        fault::injectStuckAtLanes(die, pass);
-    BistSession session(ready, die, lanes);
-    ASSERT_EQ(session.lanes(), pass.size());
-    const std::vector<SessionResult> res = session.runLanes(opts, &golden);
-    ASSERT_EQ(res.size(), pass.size());
-    for (size_t l = 0; l < pass.size(); ++l) {
-      expectLaneMatchesInjectedDie(ready, pass[l], opts, &golden, res[l]);
-    }
-  }
-
   size_t passes = 0;
-  const std::vector<SessionResult> grouped =
-      good.runHypotheses(hypotheses, opts, &passes);
-  ASSERT_EQ(grouped.size(), hypotheses.size());
-  // Control-site hypotheses fill passes of their own: at most one
-  // partial pass more than the universe needs.
-  EXPECT_GE(passes, (hypotheses.size() + 63) / 64);
-  EXPECT_LE(passes, (hypotheses.size() + 63) / 64 + 1);
+  const std::vector<SessionResult> lanes =
+      BistSession(ready, nl).runHypotheses(hypotheses, opts, &passes);
+  ASSERT_EQ(lanes.size(), hypotheses.size());
+  EXPECT_EQ(passes, (hypotheses.size() + 63) / 64);
   for (size_t h = 0; h < hypotheses.size(); ++h) {
-    expectLaneMatchesInjectedDie(ready, hypotheses[h], opts, nullptr,
-                                 grouped[h]);
+    Netlist die = nl;
+    fault::injectStuckAt(die, hypotheses[h]);
+    const SessionResult want = BistSession(ready, die).run(opts);
+    const SessionResult& lane = lanes[h];
+    SCOPED_TRACE(hypotheses[h].describe(nl));
+    EXPECT_EQ(lane.signatures, want.signatures);
+    EXPECT_EQ(lane.signature_words, want.signature_words);
+    EXPECT_EQ(lane.checkpoints, want.checkpoints);
+    EXPECT_EQ(lane.finish, want.finish);
+    EXPECT_EQ(lane.shift_pulses, want.shift_pulses);
+    EXPECT_EQ(lane.capture_pulses, want.capture_pulses);
   }
 }
 

@@ -442,8 +442,9 @@ TEST(Diagnoser, ConfirmsMoreThan64CandidatesLikeInjectedDies) {
   fault::injectStuckAt(bad, defect);
   const Diagnosis d = diag.diagnoseDie(bad);
   ASSERT_EQ(d.candidates.size(), 80u);
-  // The golden and failing runs, then at least two lane passes.
-  EXPECT_GE(d.session_runs, 4u);
+  // The golden and failing runs (the exact replay needs no binary
+  // search), then one lane pass per 64 candidates, in order.
+  EXPECT_EQ(d.session_runs, 2u + 2u);
 
   core::SessionOptions so;
   so.patterns = o.patterns;

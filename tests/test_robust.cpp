@@ -1253,18 +1253,8 @@ TEST(LaneInputs, MalformedHypothesesThrow) {
     EXPECT_EQ(die.numGates(), nl.numGates()) << "a rejected pass edits";
   }
 
-  // The session rejects more lanes than a word has, and masks that are
-  // not primary inputs of the die.
-  core::BistSession good(ready, nl);
-  const std::vector<fault::LaneHypothesis> too_many(
-      65, fault::LaneHypothesis{nl.inputs()[0], nl.inputs()[1], false});
-  EXPECT_THROW(core::BistSession(ready, nl, too_many),
-               std::invalid_argument);
-  const fault::LaneHypothesis not_input{dff, nl.inputs()[0], true};
-  EXPECT_THROW(core::BistSession(ready, nl, {&not_input, 1}),
-               std::invalid_argument);
-
   // runHypotheses forwards the checks, on either side of one pass.
+  core::BistSession good(ready, nl);
   core::SessionOptions opts;
   opts.patterns = 2;
   const Fault transition{dff, fault::kOutputPin, FaultType::kSlowToFall};
